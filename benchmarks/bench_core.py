@@ -2,24 +2,26 @@
 
 Runs the Figure 7 driver grid (every paper scheduler and the Molen and
 software baselines across the full AC sweep, 8 frames) through
-``execute_cell`` — no cache, no worker pool — once per engine, and
-records, per PR:
+``execute_cell`` — no cache, no worker pool — on the production path,
+and records, per change:
 
-* ``cells_per_sec`` / ``iterations_per_sec`` per engine and the
-  reference→vector ``speedup`` — wall-clock numbers; informational on
-  shared machines, comparable on a pinned one,
+* ``cells_per_sec`` / ``iterations_per_sec`` — wall-clock numbers;
+  informational on shared machines, comparable on a pinned one,
 * ``cells`` / ``total_iterations`` — the deterministic size of the
   scenario (bit-stable: a change means the driver grid or the workload
   model changed),
-* ``result_digest`` — a hash over every cell's cycle accounting from
-  the reference engine; a digest change without an intentional semantic
-  change is a regression,
-* ``engines_identical`` — whether the vector engine reproduced the
-  reference digest bit-for-bit; ``False`` is always a bug,
+* ``result_digest`` — a hash over every cell's cycle accounting; a
+  digest change without an intentional semantic change is a regression,
+* ``engines_identical`` — whether the scalar test oracle
+  (``tests/oracle_engine.py``: scalar replay and reference planning)
+  reproduced the production digest bit-for-bit over the same cells;
+  ``False`` is always a bug,
+* ``wall_seconds_traced`` / ``traced_overhead`` — the same grid with a
+  ``RecordingTracer`` on every cell, and its wall time over the
+  untraced one.  Informational,
 * ``cells_per_sec_prefetch`` / ``prefetch_hidden_cycles`` — one
-  informational PREFETCH pass over the RISPP AC sweep (reference
-  engine: speculation forces the per-cycle loop).  Never gated — it
-  records the speculative lane's throughput cost and how much
+  informational PREFETCH pass over the RISPP AC sweep.  Never gated —
+  it records the speculative lane's throughput cost and how much
   reconfiguration overhead it hides next to the HEF cells of the same
   grid.
 
@@ -35,9 +37,10 @@ history, newest last.  ``--check`` re-runs the scenario and fails if
 the deterministic fields drifted from the newest committed entry —
 wall throughput is never gated.
 
-Timing is min-of-``reps`` with the engines interleaved per rep, so a
-load spike on a shared machine hits both engines rather than biasing
-the speedup ratio.
+Timing is min-of-``reps`` with the untraced and traced passes
+interleaved per rep, so a load spike on a shared machine hits both
+rather than biasing the overhead ratio.  The oracle pass runs once and
+is not timed.
 
 The file deliberately does not match pytest's ``test_*`` pattern: it is
 a recording harness, not part of the benchmark smoke suite.
@@ -59,12 +62,16 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_PATH = REPO_ROOT / "BENCH_core.json"
 
 sys.path.insert(0, str(REPO_ROOT / "src"))
+# The repo root, for the scalar oracle in tests/oracle_engine.py.
+sys.path.insert(1, str(REPO_ROOT))
 
 from repro.analysis.experiments import (  # noqa: E402
     ExperimentScale,
     fig7_spec,
 )
 from repro.exec.runner import execute_cell  # noqa: E402
+from repro.obs import RecordingTracer  # noqa: E402
+from tests.oracle_engine import oracle_simulators  # noqa: E402
 
 #: The recorded scenario: the Figure 7 grid at 8 frames (the same scale
 #: as the live golden sweep).  Change these only together with a fresh
@@ -111,54 +118,49 @@ def run_scenario() -> Dict[str, Any]:
     scale = ExperimentScale(
         frames=int(SCENARIO["frames"]), seed=int(SCENARIO["seed"])
     )
-    spec = fig7_spec(scale)
-    cells = {
-        engine: [
-            dataclasses.replace(cell, engine=engine)
-            for cell in spec.cells()
-        ]
-        for engine in ("reference", "vector")
-    }
+    cells = fig7_spec(scale).cells()
     workload = scale.workload()
     iters_per_cell = sum(t.counts.shape[0] for t in workload.traces)
 
-    walls = {"reference": [], "vector": []}  # type: Dict[str, List[float]]
-    results: Dict[str, List[Any]] = {}
+    walls: List[float] = []
+    traced_walls: List[float] = []
+    results: List[Any] = []
     for rep in range(int(SCENARIO["reps"])):
-        for engine in ("reference", "vector"):
-            start = time.perf_counter()
-            batch = [execute_cell(cell) for cell in cells[engine]]
-            walls[engine].append(time.perf_counter() - start)
-            if rep == 0:
-                results[engine] = batch
+        start = time.perf_counter()
+        batch = [execute_cell(cell) for cell in cells]
+        walls.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        for cell in cells:
+            execute_cell(cell, tracer=RecordingTracer())
+        traced_walls.append(time.perf_counter() - start)
+        if rep == 0:
+            results = batch
+    with oracle_simulators():
+        oracle_results = [execute_cell(cell) for cell in cells]
 
-    digests = {eng: _digest(results[eng]) for eng in results}
-    n_cells = len(cells["reference"])
+    digest = _digest(results)
+    n_cells = len(cells)
     total_iterations = iters_per_cell * n_cells
+    wall = min(walls)
+    traced_wall = min(traced_walls)
     entry: Dict[str, Any] = {
         "scenario": dict(SCENARIO),
         "cells": n_cells,
         "total_iterations": total_iterations,
-        "result_digest": digests["reference"],
-        "engines_identical": digests["reference"] == digests["vector"],
+        "result_digest": digest,
+        "engines_identical": digest == _digest(oracle_results),
+        "wall_seconds": round(wall, 3),
+        "cells_per_sec": round(n_cells / wall, 1),
+        "iterations_per_sec": round(total_iterations / wall, 1),
+        "wall_seconds_traced": round(traced_wall, 3),
+        "traced_overhead": round(traced_wall / wall, 2),
     }
-    for engine in ("reference", "vector"):
-        wall = min(walls[engine])
-        entry[f"wall_seconds_{engine}"] = round(wall, 3)
-        entry[f"cells_per_sec_{engine}"] = round(n_cells / wall, 1)
-        entry[f"iterations_per_sec_{engine}"] = round(
-            total_iterations / wall, 1
-        )
-    entry["speedup"] = round(
-        entry["wall_seconds_reference"] / entry["wall_seconds_vector"], 2
-    )
 
     # Informational PREFETCH pass: the HEF cells of the same grid with
-    # speculation enabled (reference engine — speculation forces the
-    # per-cycle loop).  One rep; never gated.
+    # speculation enabled.  One rep; never gated.
     prefetch_cells = [
-        dataclasses.replace(cell, scheduler="PREFETCH", engine="reference")
-        for cell in cells["reference"]
+        dataclasses.replace(cell, scheduler="PREFETCH")
+        for cell in cells
         if cell.system == "RISPP" and cell.scheduler == "HEF"
     ]
     start = time.perf_counter()
@@ -166,7 +168,7 @@ def run_scenario() -> Dict[str, Any]:
     prefetch_wall = time.perf_counter() - start
     hef_by_acs = {
         r.num_acs: r
-        for r in results["reference"]
+        for r in results
         if r.system == "RISPP" and r.scheduler_name == "HEF"
     }
     hidden = sum(
@@ -223,7 +225,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(json.dumps(entry, indent=2, sort_keys=True))
 
     if not entry["engines_identical"]:
-        print("vector engine diverged from reference", file=sys.stderr)
+        print("production path diverged from the oracle", file=sys.stderr)
         return 1
 
     if args.check:

@@ -35,7 +35,9 @@ drift and division-free HEF comparisons.  It takes its own flags
 The ``simulate`` and ``sweep`` commands accept ``--fault-rate``,
 ``--fault-seed`` and ``--max-retries`` to exercise the fabric's
 fault-injection and graceful-degradation path; their reports include the
-fault/retry counters.
+fault/retry counters.  Every simulation, traced or not and with or
+without PREFETCH speculation, runs the one vectorized replay and
+array-planning path.
 
 Sweep-shaped commands (``sweep``, ``fig2``, ``fig7``, ``fig8``,
 ``table2``) execute through the parallel sweep engine: ``--jobs N`` fans
@@ -56,9 +58,7 @@ clean, ``1`` error, ``3`` completed with quarantined cells, ``4``
 interrupted (SIGINT/SIGTERM) after draining in-flight cells.
 
 The environment variables ``REPRO_FRAMES`` (workload frames; default 40,
-paper 140), ``REPRO_ENGINE`` (trace-replay engine for ``simulate`` and
-``sweep``: ``reference``/``vector``/``auto``; the engines are
-bit-identical), ``REPRO_JOBS`` (default worker count),
+paper 140), ``REPRO_JOBS`` (default worker count),
 ``REPRO_CACHE_DIR`` (default cache location), ``REPRO_TIMEOUT`` /
 ``REPRO_MAX_ATTEMPTS`` (supervision for any sweep-shaped command,
 including the figure drivers) and ``REPRO_CHAOS`` (chaos spec)
@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -107,7 +106,6 @@ from .errors import ObservabilityError, RisppError, ServiceError, SweepError
 from .fabric.faults import BernoulliLoadFaults, FaultModel, RetryPolicy
 from .h264.silibrary import build_atom_registry, build_si_library
 from .obs import TRACE_FORMATS, RecordingTracer, export_events
-from .sim.engine import ENGINES
 from .sim.rispp import RisppSimulator
 from .workload.adversarial import generate_adversarial_workload
 from .workload.model import generate_workload
@@ -277,7 +275,6 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
         fault_model=fault_model,
         retry_policy=retry_policy,
         tracer=tracer,
-        engine=args.engine,
     )
     result = sim.run(workload)
     lines = [
@@ -319,7 +316,6 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         fault_rate=args.fault_rate,
         fault_seed=args.fault_seed,
         max_retries=args.max_retries,
-        engine=args.engine,
         prefetch_confidence=args.prefetch_confidence,
         prefetch_budget=args.prefetch_budget,
     )
@@ -806,16 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_ac_count_list,
         default=None,
         help="comma-separated AC counts for sweep (default: paper sweep)",
-    )
-    parser.add_argument(
-        "--engine",
-        default=os.environ.get("REPRO_ENGINE", "reference"),
-        choices=sorted(ENGINES),
-        help="trace-replay engine for simulate/sweep: the reference "
-        "per-span loop, the vectorized struct-of-arrays fast path, or "
-        "auto (vector when untraced, reference otherwise); the engines "
-        "are bit-identical, so results and cache keys do not change "
-        "(default: REPRO_ENGINE or reference)",
     )
     parser.add_argument(
         "--jobs",

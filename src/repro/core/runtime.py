@@ -32,7 +32,7 @@ from .scoring import ScoringCache, fast_schedule, select_molecules_fast
 
 if TYPE_CHECKING:  # annotation-only: keeps core below the schedulers
     from .schedulers.base import AtomScheduler
-from .selection import MoleculeSelection, select_molecules
+from .selection import MoleculeSelection
 from .si import MoleculeImpl, SILibrary
 
 __all__ = ["HotSpotPlan", "RuntimeManager"]
@@ -86,8 +86,8 @@ class RuntimeManager:
         self.monitor = monitor if monitor is not None else ExecutionMonitor()
         self.validate_schedules = bool(validate_schedules)
         self._sis_by_name = {si.name: si for si in library}
-        # Static-array memo for the fast planning path (repro.core.scoring);
-        # keyed by immutable library objects, so it never needs clearing.
+        # Static-array memo for planning (repro.core.scoring); keyed by
+        # immutable library objects, so it never needs clearing.
         self._scoring_cache: ScoringCache = {}
 
     # -- task III: re-loading decisions --------------------------------------
@@ -98,7 +98,6 @@ class RuntimeManager:
         si_names: Sequence[str],
         available: Molecule,
         num_acs: Optional[int] = None,
-        fast: bool = False,
     ) -> HotSpotPlan:
         """Select molecules and schedule atom loads for a hot-spot entry.
 
@@ -112,37 +111,28 @@ class RuntimeManager:
         keep fitting after permanent container faults.  The override
         never exceeds the configured budget.
 
-        ``fast`` routes selection and scheduling through the
-        array-friendly implementations in :mod:`repro.core.scoring`
-        (used by the vector simulation engine).  The resulting plan is
-        identical either way.
+        Selection and scheduling run on the array-friendly
+        implementations in :mod:`repro.core.scoring`; the plan is
+        identical to what :func:`~repro.core.selection.select_molecules`
+        and :meth:`~repro.core.schedulers.base.AtomScheduler.schedule`
+        decide.
         """
         budget = self.num_acs
         if num_acs is not None:
             budget = max(0, min(budget, int(num_acs)))
         sis = self.library.subset(si_names)
         expected = self.monitor.predict(hot_spot, si_names)
-        if fast:
-            selection = select_molecules_fast(
-                sis, expected, budget, available=available,
-                cache=self._scoring_cache,
-            )
-        else:
-            selection = select_molecules(
-                sis, expected, budget, available=available
-            )
+        selection = select_molecules_fast(
+            sis, expected, budget, available=available,
+            cache=self._scoring_cache,
+        )
         hardware = selection.hardware_selection()
         if hardware:
             sis_map = {si.name: si for si in sis}
-            if fast:
-                schedule = fast_schedule(
-                    self.scheduler, hardware, sis_map, available, expected,
-                    cache=self._scoring_cache,
-                )
-            else:
-                schedule = self.scheduler.schedule(
-                    hardware, sis_map, available, expected
-                )
+            schedule = fast_schedule(
+                self.scheduler, hardware, sis_map, available, expected,
+                cache=self._scoring_cache,
+            )
             if self.validate_schedules:
                 validate_schedule(schedule, hardware, available)
         else:

@@ -50,7 +50,8 @@ matches the reported 874.03 us.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import functools
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.molecule import AtomSpace
 from ..core.si import MoleculeImpl, SILibrary, SpecialInstruction
@@ -311,8 +312,13 @@ _SI_MOLECULES: Dict[
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_atom_registry() -> AtomRegistry:
-    """The eleven H.264 atom types with calibrated physical properties."""
+    """The eleven H.264 atom types with calibrated physical properties.
+
+    Built once per process: the registry is immutable, so every caller
+    shares the same object.
+    """
     return AtomRegistry(
         AtomType(name, bitstream_bytes=bits, slices=slices, description=desc)
         for name, bits, slices, desc in _ATOM_TABLE
@@ -328,17 +334,29 @@ def _molecule_name(atom_names: Sequence[str], vector: Sequence[int]) -> str:
     )
 
 
-def build_si_library(registry: AtomRegistry = None) -> SILibrary:
+def build_si_library(registry: Optional[AtomRegistry] = None) -> SILibrary:
     """Construct the nine-SI H.264 library of Table 1.
 
     Parameters
     ----------
     registry:
-        Atom registry to bind the library to; a fresh calibrated registry
-        is built when omitted.
+        Atom registry to bind the library to; the calibrated registry of
+        :func:`build_atom_registry` when omitted.  The library over that
+        registry's atom space is built once per process and shared (it
+        is immutable); any other registry gets a fresh library.
     """
-    if registry is None:
-        registry = build_atom_registry()
+    default = _default_si_library()
+    if registry is None or registry.space is default.space:
+        return default
+    return _build_si_library(registry)
+
+
+@functools.lru_cache(maxsize=None)
+def _default_si_library() -> SILibrary:
+    return _build_si_library(build_atom_registry())
+
+
+def _build_si_library(registry: AtomRegistry) -> SILibrary:
     space: AtomSpace = registry.space
     sis: List[SpecialInstruction] = []
     for si_name, (atom_names, entries) in _SI_MOLECULES.items():

@@ -86,7 +86,7 @@ RULE_DEFAULTS: Dict[str, Dict[str, Any]] = {
     },
     "RL005": {
         "enabled": True,
-        # The vector engine's benefit comparisons must stay as
+        # The vectorized replay's comparisons must stay as
         # division-free as the schedulers they mirror (the hardware
         # comparator has no divider).
         "include": ["repro/core/schedulers/*", "repro/sim/vector*"],
@@ -228,8 +228,9 @@ RULE_DEFAULTS: Dict[str, Dict[str, Any]] = {
     },
     "RL010": {
         "enabled": True,
-        # The integer-exact zones: scheduler benefit logic, both
-        # trace-replay engines, and the service's virtual clock.
+        # The integer-exact zones: scheduler benefit logic, the
+        # simulation engine and its trace replay, and the service's
+        # virtual clock.
         "include": [
             "repro/core/schedulers/*",
             "repro/sim/engine.py",

@@ -1436,7 +1436,10 @@ def run_service(
             f"{list(_CRASH_MODES)}"
         )
     validate_control_events(
-        [tenant.name for tenant in tenants], control_events
+        [tenant.name for tenant in tenants],
+        control_events,
+        config.num_acs,
+        config.duration,
     )
     journal = _ServiceJournal(journal_path, fsync=fsync)
     try:
@@ -1494,7 +1497,10 @@ def recover_service(
     """
     config = config if config is not None else ServiceConfig()
     validate_control_events(
-        [tenant.name for tenant in tenants], control_events
+        [tenant.name for tenant in tenants],
+        control_events,
+        config.num_acs,
+        config.duration,
     )
     path = Path(journal_path)
     if not path.is_file():

@@ -187,20 +187,41 @@ def derive_join_tenant(
 def validate_control_events(
     initial_tenants: Sequence[str],
     events: Sequence[ControlEvent],
+    num_acs: int,
+    duration: int,
 ) -> None:
-    """Reject structurally impossible control schedules up front.
+    """Reject impossible control schedules up front.
 
     Checks the fleet-membership story end to end: joins need a spec and
     a fresh name (never one from the initial fleet, an earlier join, or
     a departed tenant — request IDs and stats are keyed by name);
-    leaves need a currently-active tenant.  Raises
-    :class:`ServiceError` on the first violation.
+    leaves need a currently-active tenant.  Every event must fall before
+    ``duration``, the tick arrivals stop at, and an ``ac_remove`` may
+    retire at most the ACs live at that point of the schedule: the
+    ``num_acs`` configured plus earlier ``ac_add`` minus earlier
+    ``ac_remove`` counts.  Raises :class:`ServiceError` on the first
+    violation.
     """
     active = set(initial_tenants)
     ever = set(initial_tenants)
+    live_acs = num_acs
     ordered = sorted(enumerate(events), key=lambda e: (e[1].tick, e[0]))
     for _, event in ordered:
-        if event.action == "tenant_join":
+        if event.tick >= duration:
+            raise ServiceError(
+                f"{event.action} at tick {event.tick} is outside the run: "
+                f"arrivals stop at tick {duration}"
+            )
+        if event.action == "ac_add":
+            live_acs += event.count
+        elif event.action == "ac_remove":
+            if event.count > live_acs:
+                raise ServiceError(
+                    f"ac_remove at tick {event.tick} retires "
+                    f"{event.count} ACs, but only {live_acs} are live"
+                )
+            live_acs -= event.count
+        elif event.action == "tenant_join":
             if event.spec is None:
                 raise ServiceError(
                     f"tenant_join {event.name!r} at tick {event.tick} "

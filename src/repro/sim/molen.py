@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.molecule import Molecule
 from ..core.monitor import ExecutionMonitor
 from ..core.scoring import select_molecules_fast
-from ..core.selection import MoleculeSelection, select_molecules
+from ..core.selection import MoleculeSelection
 from ..core.si import MoleculeImpl, SILibrary
 from ..fabric.atom import AtomRegistry
 from ..isa.processor import BaseProcessor
@@ -59,7 +59,6 @@ class MolenSimulator(SystemSimulator):
         retry_policy=None,
         tracer=None,
         metrics=None,
-        engine="reference",
     ):
         super().__init__(
             library,
@@ -72,10 +71,9 @@ class MolenSimulator(SystemSimulator):
             retry_policy=retry_policy,
             tracer=tracer,
             metrics=metrics,
-            engine=engine,
         )
         self.monitor = monitor if monitor is not None else ExecutionMonitor()
-        # Static-array memo for the fast selection path; keyed by the
+        # Static-array memo for molecule selection; keyed by the
         # immutable library objects, so it survives resets unchanged.
         self._scoring_cache: Dict[object, object] = {}
 
@@ -95,16 +93,11 @@ class MolenSimulator(SystemSimulator):
     ) -> Tuple[Sequence[str], Molecule, _MolenContext]:
         sis = self.library.subset(trace.si_names)
         expected = self.monitor.predict(trace.hot_spot, trace.si_names)
-        if self._vector_active:
-            selection = select_molecules_fast(
-                # The effective budget shrinks when containers die.
-                sis, expected, self.fabric.usable_acs, available=available,
-                cache=self._scoring_cache,
-            )
-        else:
-            selection = select_molecules(
-                sis, expected, self.fabric.usable_acs, available=available
-            )
+        selection = select_molecules_fast(
+            # The effective budget shrinks when containers die.
+            sis, expected, self.fabric.usable_acs, available=available,
+            cache=self._scoring_cache,
+        )
         # Load order: most important SI first, whole molecules back to
         # back.  Atoms already on the fabric are reused.
         importance: List[Tuple[float, str]] = []
@@ -148,7 +141,7 @@ class MolenSimulator(SystemSimulator):
 
     def _dispatch_memo_key(
         self, trace: HotSpotTrace, context: _MolenContext
-    ) -> Optional[object]:
+    ) -> object:
         # Molen dispatch depends on the availability *and* the hot
         # spot's chosen implementations, so the latter join the key.
         chosen = tuple(
@@ -160,22 +153,13 @@ class MolenSimulator(SystemSimulator):
     def _dispatch_preference(
         self, si_name: str, context: _MolenContext
     ) -> Sequence[MoleculeImpl]:
-        # Mirrors _impl_for: the chosen implementation when fully
-        # loaded, otherwise the base-ISA trap.
+        # The chosen implementation once fully loaded; until then the
+        # base-ISA trap — partial availability buys nothing in a
+        # Molen-like system.
         impl = context.selection.implementations[si_name]
         if impl.is_software:
             return [impl]
         return [impl, self.library.get(si_name).software]
-
-    def _impl_for(
-        self, si_name: str, available: Molecule, context: _MolenContext
-    ) -> MoleculeImpl:
-        impl = context.selection.implementations[si_name]
-        if impl.is_software or impl.atoms <= available:
-            return impl
-        # Not fully reconfigured yet: execute via the base-ISA trap —
-        # partial availability buys nothing in a Molen-like system.
-        return self.library.get(si_name).software
 
     def _finish(self, trace: HotSpotTrace, context: _MolenContext) -> None:
         self.monitor.update(trace.hot_spot, trace.totals())

@@ -1,14 +1,11 @@
-"""Vectorized trace replay — the ``engine="vector"`` fast path.
+"""Vectorized trace replay — the simulators' one replay path.
 
-The reference executor (:meth:`repro.sim.engine.SystemSimulator._execute`)
-already advances analytically from port completion to port completion,
-but it rebuilds the per-SI latency vector from scratch on every span:
-one :meth:`fastest_available` lattice walk per SI per span, plus a fresh
-cumulative sum over the remaining iterations.  On paper-scale sweeps
-those per-span rebuilds dominate the profile.
-
-This module replays the identical span algebra over precomputed
-struct-of-arrays views:
+Replay advances analytically from port completion to port completion
+(see :mod:`repro.sim.engine`).  Rebuilding the per-SI latency vector
+from scratch on every span — one :meth:`fastest_available` lattice walk
+per SI, plus a fresh cumulative sum over the remaining iterations —
+would dominate the profile of paper-scale sweeps, so this module
+replays the span algebra over precomputed struct-of-arrays views:
 
 * per trace, the execution counts are folded once into int64 row-prefix
   sums ``P`` (shape ``(iterations + 1, num_sis)``), so any span's work is
@@ -16,20 +13,18 @@ struct-of-arrays views:
 * per latency vector, the cumulative-cycles curve
   ``W[t] = P[t] @ latencies + t * overhead`` is built once and cached —
   a span boundary becomes a single ``searchsorted`` on ``W``;
-* per (dispatch key, availability) pair, the SI dispatch — which runs
-  the *reference* :meth:`_impl_for` on a cache miss — is memoized, so
-  the lattice walks happen once per distinct fabric state instead of
-  once per span.
+* per (dispatch key, availability) pair, the SI dispatch — the first
+  loaded entry of each SI's preference list, found with one array
+  feasibility scan — is memoized, so the scan happens once per distinct
+  fabric state instead of once per span.
 
-All accounting stays in int64 (the reference's float64 intermediates are
-integer-valued and exact below 2**53, so the integer math reproduces
-them bit-for-bit), and this module is division-free by construction —
-RL005 scans it alongside the schedulers.
+All accounting stays in int64, and this module is division-free by
+construction — RL005 scans it alongside the schedulers.
 
-The vector path is only ever active with the tracer disabled (see
-:meth:`SystemSimulator._resolve_engine`): it emits no events, and
-untraced runs are bit-identical to the reference by the differential
-harness in ``tests/test_vector_differential.py``.
+With a tracer enabled the executor also emits the SI-upgrade and
+degraded-segment events, built from the memoized dispatch entries.  A
+scalar per-span replay is kept under ``tests/`` as the differential
+oracle; results and event logs are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -39,6 +34,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.molecule import Molecule
+from ..obs.events import DegradedEnter, DegradedExit, SIUpgrade
 from ..workload.trace import HotSpotTrace
 from .results import LatencyEvent, Segment
 
@@ -48,8 +44,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["VectorExecutor"]
 
-#: (latencies per SI, atoms in active use or None).
-_DispatchEntry = Tuple[Tuple[int, ...], Optional[Molecule]]
+#: (latencies per SI, atoms in active use or None, implementation per SI).
+_DispatchEntry = Tuple[
+    Tuple[int, ...], Optional[Molecule], Tuple["MoleculeImpl", ...]
+]
 
 #: Stacked dispatch preference tables: all SIs' preference rows in one
 #: matrix (rows_all, rank, segment offsets, cycles per row, impls).
@@ -104,23 +102,18 @@ class VectorExecutor:
     def __init__(self, sim: "SystemSimulator") -> None:
         self._sim = sim
         self._space = sim.library.space
-        self._atom_pos = {
-            name: i for i, name in enumerate(self._space.names)
-        }
         self._num_atoms = self._space.size
-        # Keyed by id(); the stored trace reference keeps the object
-        # alive so the id cannot be recycled while the cache holds it.
-        self._traces: Dict[int, Tuple[HotSpotTrace, _TraceArrays]] = {}
-        # Two-level memo: dispatch key -> availability -> entry.  The
-        # outer lookup happens once per trace replay, so the per-span
-        # cost is one small-tuple hash.
-        self._memo: Dict[object, Dict[Tuple[int, ...], _DispatchEntry]] = {}
-        # Per dispatch key: the stacked preference tables, or None when
-        # the system keeps the reference miss path (see
-        # SystemSimulator._dispatch_preference).
-        self._pref: Dict[object, Optional[_PrefTable]] = {}
+        # Per dispatch key: the stacked preference tables and the memo
+        # availability -> entry.  The outer lookup happens once per
+        # trace replay, so the per-span cost is one small-tuple hash.
+        self._keyed: Dict[
+            object, Tuple[_PrefTable, Dict[Tuple[int, ...], _DispatchEntry]]
+        ] = {}
         self._avail_ver: Optional[int] = None
         self._avail_cache: Tuple[int, ...] = ()
+        # Last latency / degraded state reported to the tracer.
+        self._obs_latency: Dict[str, int] = {}
+        self._obs_degraded = False
 
     # -- fabric snapshot ---------------------------------------------------
 
@@ -142,71 +135,39 @@ class VectorExecutor:
         return snapshot
 
     def _dispatch(
-        self,
-        trace: HotSpotTrace,
-        context: object,
-        tables: Optional[_PrefTable],
-        avail_counts: Tuple[int, ...],
+        self, tables: _PrefTable, avail_counts: Tuple[int, ...]
     ) -> _DispatchEntry:
-        sim = self._sim
-        latencies: List[int] = []
-        if tables is not None:
-            # First feasible row of each SI's preference segment — by
-            # construction the same implementation _impl_for returns.
-            # The rows are preference-ordered, so "first feasible" is
-            # the minimum preference rank among feasible rows.
-            rows_all, rank, offsets, cycles, _impls = tables
-            avail_arr = np.array(avail_counts, dtype=np.int64)
-            feasible = (rows_all <= avail_arr).all(axis=1)
-            masked = np.where(feasible, rank, len(cycles))
-            first = np.minimum.reduceat(masked, offsets)
-            # Molecule union is the component-wise max, and software
-            # rows are all-zero, so the atoms in active use fall out of
-            # one reduction over the chosen rows.
-            used_counts = rows_all[first].max(axis=0).tolist()
-            lat_tuple = tuple(cycles[j] for j in first.tolist())
-            entry: _DispatchEntry = (
-                lat_tuple,
-                Molecule._make(self._space, tuple(used_counts))
-                if any(used_counts)
-                else None,
-            )
-        else:
-            # Fallback: run the reference dispatch so the vector path
-            # can never disagree with it.
-            available = Molecule(self._space, avail_counts)
-            used = self._space.zero()
-            for si_name in trace.si_names:
-                impl = sim._impl_for(si_name, available, context)
-                latencies.append(
-                    int(sim.processor.si_execution_cycles(impl))
-                )
-                if not impl.is_software:
-                    used = used | impl.atoms
-            entry = (
-                tuple(latencies),
-                None if used.is_zero else used,
-            )
-        return entry
+        """First loaded row of each SI's preference segment.
+
+        The rows are preference-ordered, so "first feasible" is the
+        minimum preference rank among feasible rows.
+        """
+        rows_all, rank, offsets, cycles, impls = tables
+        avail_arr = np.array(avail_counts, dtype=np.int64)
+        feasible = (rows_all <= avail_arr).all(axis=1)
+        masked = np.where(feasible, rank, len(cycles))
+        first = np.minimum.reduceat(masked, offsets).tolist()
+        # Molecule union is the component-wise max, and software rows
+        # are all-zero, so the atoms in active use fall out of one
+        # reduction over the chosen rows.
+        used_counts = rows_all[first].max(axis=0).tolist()
+        return (
+            tuple(cycles[j] for j in first),
+            Molecule._make(self._space, tuple(used_counts))
+            if any(used_counts)
+            else None,
+            tuple(impls[j] for j in first),
+        )
 
     def _pref_tables(
         self, trace: HotSpotTrace, context: object
-    ) -> Optional[_PrefTable]:
-        """Stacked array views of the system's dispatch preferences.
-
-        Requires every column to provide a preference list containing an
-        always-feasible (zero-atom) entry; otherwise returns None and
-        dispatch misses keep the reference path.
-        """
+    ) -> _PrefTable:
+        """Stacked array views of the system's dispatch preferences."""
         sim = self._sim
         impls_all: List["MoleculeImpl"] = []
         offsets: List[int] = []
         for si_name in trace.si_names:
             prefs = sim._dispatch_preference(si_name, context)
-            if prefs is None or not any(
-                impl.atoms.is_zero for impl in prefs
-            ):
-                return None
             offsets.append(len(impls_all))
             impls_all.extend(prefs)
         rows_all = np.array(
@@ -235,38 +196,48 @@ class VectorExecutor:
         latency_events: Optional[List[LatencyEvent]],
         last_latency: Dict[str, int],
     ) -> int:
-        """Replay one trace; same contract as the reference ``_execute``."""
+        """Replay one trace from cycle ``now``; returns the end cycle.
+
+        ``segments`` / ``latency_events`` (when not None) receive the
+        per-span records, ``last_latency`` carrying the latency-change
+        state across traces.
+        """
         sim = self._sim
         port = sim.port
         fabric = sim.fabric
+        tracer = sim.tracer
         iterations = trace.iterations
-        entry = self._traces.get(id(trace))
-        if entry is None:
-            arrays = _TraceArrays(trace)
-            self._traces[id(trace)] = (trace, arrays)
-        else:
-            arrays = entry[1]
+        arrays = _TraceArrays(trace)
         memo_key = sim._dispatch_memo_key(trace, context)
-        memo: Optional[Dict[Tuple[int, ...], _DispatchEntry]] = None
-        tables: Optional[_PrefTable] = None
-        if memo_key is not None:
-            memo = self._memo.setdefault(memo_key, {})
-            if memo_key in self._pref:
-                tables = self._pref[memo_key]
-            else:
-                tables = self._pref_tables(trace, context)
-                self._pref[memo_key] = tables
+        keyed = self._keyed.get(memo_key)
+        if keyed is None:
+            keyed = (self._pref_tables(trace, context), {})
+            self._keyed[memo_key] = keyed
+        tables, memo = keyed
         i = 0
         while i < iterations:
             port.advance_to(now)
             avail_counts = self._availability()
-            entry = None if memo is None else memo.get(avail_counts)
+            entry = memo.get(avail_counts)
             if entry is None:
-                entry = self._dispatch(trace, context, tables, avail_counts)
-                if memo is not None:
-                    memo[avail_counts] = entry
-            lat_tuple, used = entry
+                entry = self._dispatch(tables, avail_counts)
+                memo[avail_counts] = entry
+            lat_tuple, used, impls = entry
             curve_arr, curve_list = arrays.cycles_curve(lat_tuple)
+            if tracer.enabled:
+                for col, si_name in enumerate(trace.si_names):
+                    lat = lat_tuple[col]
+                    if self._obs_latency.get(si_name) != lat:
+                        self._obs_latency[si_name] = lat
+                        tracer.emit(
+                            SIUpgrade(
+                                cycle=now,
+                                si_name=si_name,
+                                molecule=impls[col].name,
+                                latency=lat,
+                                software=impls[col].is_software,
+                            )
+                        )
             if latency_events is not None:
                 for col, si_name in enumerate(trace.si_names):
                     lat = lat_tuple[col]
@@ -291,9 +262,18 @@ class VectorExecutor:
                 k = int(curve_arr.searchsorted(target, side="left")) - i
                 k = min(k, iterations - i)
             span = curve_list[i + k] - curve_i
+            # Degraded operation: the fabric lost containers, or the
+            # port is burning its time budget on a retry.
             degraded = fabric._dead > 0 or (
                 in_flight and port._in_flight_failures > 0
             )
+            if tracer.enabled and degraded != self._obs_degraded:
+                self._obs_degraded = degraded
+                tracer.emit(
+                    DegradedEnter(cycle=now)
+                    if degraded
+                    else DegradedExit(cycle=now)
+                )
             if degraded:
                 sim._degraded_cycles += span
             if segments is not None:

@@ -1,14 +1,14 @@
 """Span-batching edge cases: straddled completions and mid-span events.
 
-Both trace-replay engines batch iterations into spans that end at the
-next reconfiguration-port completion, counting the iteration *in
+The production replay and the scalar oracle both batch iterations
+into spans that end at the next reconfiguration-port completion, counting the iteration *in
 flight* when the completion lands at the old latencies.  The nastiest
 corners of that rule:
 
 * **Final-iteration straddle** — the completion lands inside the last
   iteration of the run, so it is never processed (no later
   ``advance_to`` exists).  The load must stay in flight, accounted as
-  started-but-not-completed, and both engines must agree on the exact
+  started-but-not-completed, and both replays must agree on the exact
   final cycle.
 * **Mid-iteration eviction under faults** — a completion mid-span
   immediately starts the next queued load, whose placement evicts an
@@ -18,10 +18,11 @@ corners of that rule:
   whole sweeps, not just one span.
 
 These are regression tests for the span/searchsorted straddle math in
-``sim/engine.py`` (``_execute``) and ``sim/vector.py`` (``execute``):
-each scenario first proves structurally that the edge actually occurs
-(pending completion inside the final span; eviction cycles strictly
-inside spans), then pins reference/vector equality on it.
+``sim/vector.py`` (``execute``) and its oracle in
+``tests/oracle_engine.py``: each scenario first proves structurally
+that the edge actually occurs (pending completion inside the final
+span; eviction cycles strictly inside spans), then pins
+oracle/production equality on it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ from repro.fabric.faults import BernoulliLoadFaults, RetryPolicy
 from repro.obs import RecordingTracer
 from repro.sim.rispp import RisppSimulator
 from repro.workload.trace import HotSpotTrace, Workload
+
+from tests.oracle_engine import OracleRisppSimulator
+
+#: The two replays under test, by the ids the parametrized tests carry.
+SIMULATORS = {"reference": OracleRisppSimulator, "vector": RisppSimulator}
 
 
 def _straddle_workload(library):
@@ -72,9 +78,9 @@ def _eviction_workload(library):
     return workload
 
 
-def _run(library, registry, workload, engine, acs, fault_model=None,
+def _run(library, registry, workload, replay, acs, fault_model=None,
          retry_policy=None, tracer=None):
-    sim = RisppSimulator(
+    sim = SIMULATORS[replay](
         library,
         registry,
         get_scheduler("HEF"),
@@ -83,18 +89,17 @@ def _run(library, registry, workload, engine, acs, fault_model=None,
         fault_model=fault_model,
         retry_policy=retry_policy,
         tracer=tracer,
-        engine=engine,
     )
     return sim, sim.run(workload)
 
 
-@pytest.mark.parametrize("engine", ["reference", "vector"])
+@pytest.mark.parametrize("replay", sorted(SIMULATORS))
 def test_final_iteration_straddles_completion(
-    h264_library, h264_registry, engine
+    h264_library, h264_registry, replay
 ):
     sim, result = _run(
         h264_library, h264_registry, _straddle_workload(h264_library),
-        engine, acs=6,
+        replay, acs=6,
     )
     # The edge really occurred: the first load's completion cycle lies
     # strictly inside the one-and-only iteration span, and the run
@@ -129,7 +134,7 @@ def test_mid_iteration_eviction_under_faults(h264_library, h264_registry):
     tracer = RecordingTracer()
     fault_model, retry_policy = faults()
     _, traced = _run(
-        h264_library, h264_registry, workload, "reference", 4,
+        h264_library, h264_registry, workload, "vector", 4,
         fault_model, retry_policy, tracer,
     )
     spans = [(s.t0, s.t1) for s in traced.segments]
@@ -145,11 +150,20 @@ def test_mid_iteration_eviction_under_faults(h264_library, h264_registry):
     assert traced.degraded_cycles > 0
 
     results = [traced]
-    for engine in ("reference", "vector"):
+    for replay in ("reference", "vector"):
         fault_model, retry_policy = faults()
         _, result = _run(
-            h264_library, h264_registry, workload, engine, 4,
+            h264_library, h264_registry, workload, replay, 4,
             fault_model, retry_policy,
         )
         results.append(result)
     assert results[0] == results[1] == results[2]
+
+    # The oracle's traced run logs the very same events.
+    oracle_tracer = RecordingTracer()
+    fault_model, retry_policy = faults()
+    _run(
+        h264_library, h264_registry, workload, "reference", 4,
+        fault_model, retry_policy, oracle_tracer,
+    )
+    assert list(oracle_tracer) == list(tracer)

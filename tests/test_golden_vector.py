@@ -1,25 +1,25 @@
-"""Golden regressions re-run under the vector engine.
+"""Golden regressions re-run on the scalar oracle.
 
 ``tests/test_golden_fig7.py`` and ``tests/test_obs_schema.py`` pin the
-reference engine's behaviour against committed goldens.  This module
-re-drives the same pinned scenarios through ``engine="vector"`` (the
-untraced fast path) and asserts they land on the *same* goldens:
+production path against committed goldens.  This module re-drives the
+same pinned scenarios through the scalar oracle of
+``tests/oracle_engine.py`` and asserts both land on the *same* goldens:
 
 * the live golden sweep's exact ``total_cycles`` per cell,
-* the run behind the committed obs golden event log (untraced — a
-  tracer would force the reference loop, which is its own test in
-  ``test_vector_differential.py``), cross-checked against the event
-  counts stored in the golden log itself,
+* the run behind the committed obs golden event log, untraced on the
+  production path and traced on the oracle, cross-checked against the
+  event counts stored in the golden log itself,
 * the serialised Figure 7 artifact payload, byte-for-byte identical
-  between engines (and, behind ``REPRO_PAPER_SCALE=1``, byte-for-byte
-  equal to the committed ``artifacts/full_sweep_results.json``),
-* the ``repro sweep --engine vector`` CLI surface, identical to the
-  reference run up to wall-clock timings.
+  between production and oracle (and, behind ``REPRO_PAPER_SCALE=1``,
+  byte-for-byte equal to the committed
+  ``artifacts/full_sweep_results.json``),
+* the ``repro sweep`` CLI surface, identical on production and oracle
+  up to wall-clock timings.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import contextlib
 import json
 import os
 import re
@@ -39,6 +39,7 @@ from repro.obs import RecordingTracer
 from repro.sim.rispp import RisppSimulator
 from repro.workload.model import generate_workload
 
+from tests.oracle_engine import OracleRisppSimulator, oracle_simulators
 from tests.test_golden_fig7 import _GOLDEN_CYCLES, _GOLDEN_SPEC
 
 ARTIFACT_JSON = (
@@ -50,30 +51,33 @@ GOLDEN_LOG = Path(__file__).parent / "data" / "golden_event_log.json"
 
 
 def test_live_goldens_under_vector_engine():
-    """The pinned sweep's exact cycle counts, via the vector engine."""
-    spec = dataclasses.replace(_GOLDEN_SPEC, engine="vector")
-    report = run_sweep(spec, jobs=1)
-    actual = {o.cell.label: o.result.total_cycles for o in report}
-    assert actual == _GOLDEN_CYCLES, (
-        "vector engine moved the live goldens — it diverged from the "
-        "reference engine's pinned behaviour"
-    )
+    """The pinned sweep's exact cycle counts, on production and oracle."""
+    for label, context in (
+        ("production", contextlib.nullcontext()),
+        ("oracle", oracle_simulators()),
+    ):
+        with context:
+            report = run_sweep(_GOLDEN_SPEC, jobs=1)
+        actual = {o.cell.label: o.result.total_cycles for o in report}
+        assert actual == _GOLDEN_CYCLES, (
+            f"the {label} path moved the live goldens"
+        )
 
 
 def test_obs_golden_run_untraced_vector(h264_library, h264_registry):
     """The golden event log's run, re-simulated without a tracer on the
-    vector engine, must agree with what the committed log records."""
+    production path, must agree with the traced oracle and with what
+    the committed log records."""
     workload = generate_workload(num_frames=1, seed=2008)
 
     vec = RisppSimulator(
         h264_library, h264_registry, get_scheduler("HEF"), 6,
-        engine="vector",
     ).run(workload)
 
     tracer = RecordingTracer()
-    traced = RisppSimulator(
+    traced = OracleRisppSimulator(
         h264_library, h264_registry, get_scheduler("HEF"), 6,
-        tracer=tracer, engine="reference",
+        tracer=tracer,
     ).run(workload)
     assert vec == traced
 
@@ -89,20 +93,17 @@ def test_obs_golden_run_untraced_vector(h264_library, h264_registry):
 
 
 def test_fig7_artifact_bytes_identical_across_engines():
-    """Both engines serialise the same Figure 7 artifact bytes.
+    """Production and oracle serialise the same Figure 7 artifact bytes.
 
     A reduced scale keeps this in the tier-1 budget; the committed
     paper-scale artifact is pinned byte-for-byte behind
     ``REPRO_PAPER_SCALE=1`` below.
     """
     scale = ExperimentScale(frames=4, ac_counts=(5, 8, 12))
-    rendered = {
-        engine: render_fig7_artifact(
-            run_figure7(scale, jobs=1, engine=engine)
-        )
-        for engine in ("reference", "vector")
-    }
-    assert rendered["reference"] == rendered["vector"]
+    production = render_fig7_artifact(run_figure7(scale, jobs=1))
+    with oracle_simulators():
+        oracle = render_fig7_artifact(run_figure7(scale, jobs=1))
+    assert production == oracle
 
 
 @pytest.mark.skipif(
@@ -111,20 +112,18 @@ def test_fig7_artifact_bytes_identical_across_engines():
 )
 def test_committed_artifact_reproduced_by_vector_engine():
     """``artifacts/full_sweep_results.json``, byte-for-byte, from the
-    vector engine at the full 140-frame paper scale."""
-    result = run_figure7(
-        ExperimentScale(frames=140), engine="vector"
-    )
+    production path at the full 140-frame paper scale."""
+    result = run_figure7(ExperimentScale(frames=140))
     assert render_fig7_artifact(result) == ARTIFACT_JSON.read_text()
 
 
 _WALL_RE = re.compile(r"\s+\d+\.\d+m?s\b")
 
 
-def _sweep_stdout(capsys, engine):
+def _sweep_stdout(capsys):
     code = main([
         "sweep", "--scheduler", "HEF", "--frames", "2",
-        "--ac-list", "6,10", "--jobs", "1", "--engine", engine,
+        "--ac-list", "6,10", "--jobs", "1", "--no-cache",
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -133,6 +132,7 @@ def _sweep_stdout(capsys, engine):
 
 
 def test_cli_sweep_identical_across_engines(capsys):
-    ref = _sweep_stdout(capsys, "reference")
-    vec = _sweep_stdout(capsys, "vector")
-    assert vec == ref, "repro sweep output diverged between engines"
+    vec = _sweep_stdout(capsys)
+    with oracle_simulators():
+        ref = _sweep_stdout(capsys)
+    assert vec == ref, "repro sweep output diverged from the oracle"

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro._atomic import atomic_write_text, trim_torn_tail
+from repro.cli import main as cli_main
 from repro.errors import (
     FabricError,
     RecoveryError,
@@ -622,11 +623,16 @@ class TestLiveReconfiguration:
             recover_service(fleet(), config, journal_path=journal)
 
     def test_ac_remove_beyond_capacity_stops_at_empty_fabric(self):
+        # Schedule validation counts configured/added/removed ACs only;
+        # a fault can still leave fewer live containers than the
+        # schedule retires, and the retirement stops at an empty fabric.
         report = run_service(
             fleet(),
-            ServiceConfig(num_acs=2, duration=600, seed=2008),
+            ServiceConfig(
+                num_acs=2, duration=600, seed=2008, fault_ticks=(50,)
+            ),
             control_events=[
-                ControlEvent(tick=100, action="ac_remove", count=5)
+                ControlEvent(tick=100, action="ac_remove", count=2)
             ],
         )
         assert report.dropped_admitted == 0
@@ -680,6 +686,8 @@ class TestControlEventValidation:
             validate_control_events(
                 ["a"],
                 [ControlEvent(tick=1, action="tenant_join", name="b")],
+                num_acs=8,
+                duration=1000,
             )
 
     def test_join_rejects_taken_name(self):
@@ -695,6 +703,8 @@ class TestControlEventValidation:
                         spec=spec,
                     )
                 ],
+                num_acs=8,
+                duration=1000,
             )
 
     def test_leave_rejects_unknown_tenant(self):
@@ -702,6 +712,8 @@ class TestControlEventValidation:
             validate_control_events(
                 ["a"],
                 [ControlEvent(tick=1, action="tenant_leave", name="b")],
+                num_acs=8,
+                duration=1000,
             )
 
     def test_names_never_reused_after_leave(self):
@@ -720,6 +732,8 @@ class TestControlEventValidation:
                         spec=spec,
                     ),
                 ],
+                num_acs=8,
+                duration=1000,
             )
 
     @pytest.mark.parametrize(
@@ -743,6 +757,56 @@ class TestControlEventValidation:
                 name="a",
                 spec=derive_join_tenant("b", 2008),
             )
+
+    def test_ac_remove_beyond_live_acs_rejected(self):
+        events = [
+            ControlEvent(tick=5, action="ac_add", count=2),
+            ControlEvent(tick=9, action="ac_remove", count=10),
+            ControlEvent(tick=12, action="ac_remove", count=1),
+        ]
+        # 8 configured + 2 added: retiring all 10 is legal ...
+        validate_control_events(
+            ["a"], events[:2], num_acs=8, duration=1000
+        )
+        # ... but nothing is left for the third event.
+        with pytest.raises(ServiceError, match="only 0 are live"):
+            validate_control_events(
+                ["a"], events, num_acs=8, duration=1000
+            )
+        with pytest.raises(ServiceError, match="only 8 are live"):
+            validate_control_events(
+                ["a"],
+                [ControlEvent(tick=100, action="ac_remove", count=16)],
+                num_acs=8,
+                duration=1000,
+            )
+
+    def test_event_after_arrivals_end_rejected(self):
+        spec = derive_join_tenant("late", 2008)
+        with pytest.raises(ServiceError, match="outside the run"):
+            validate_control_events(
+                ["a"],
+                [
+                    ControlEvent(
+                        tick=1000, action="tenant_join", name="late",
+                        spec=spec,
+                    )
+                ],
+                num_acs=8,
+                duration=1000,
+            )
+
+    def test_cli_rejects_impossible_schedules_with_exit_1(self, capsys):
+        for reconfig in ("100:ac_remove:16", "2500:tenant_join:late"):
+            code = cli_main([
+                "serve", "--tenants", "2", "--duration", "2000",
+                "--service-acs", "8", "--no-cache",
+                "--reconfig-at", reconfig,
+            ])
+            assert code == 1, reconfig
+        err = capsys.readouterr().err
+        assert "only 8 are live" in err
+        assert "outside the run" in err
 
     def test_run_service_rejects_bad_schedule(self):
         with pytest.raises(ServiceError, match="not an active tenant"):

@@ -151,3 +151,49 @@ class TestPhysicalCalibration:
             h264_library.space,
         )
         assert everything.determinant > 24
+
+
+class TestBuiltOncePerProcess:
+    def test_repeated_calls_share_objects(self):
+        from repro.h264.silibrary import build_atom_registry, build_si_library
+
+        registry = build_atom_registry()
+        assert build_atom_registry() is registry
+        library = build_si_library()
+        assert build_si_library() is library
+        assert build_si_library(registry) is library
+        assert library.space is registry.space
+
+    def test_other_registries_get_their_own_library(self):
+        from repro.fabric.atom import AtomRegistry
+        from repro.h264.silibrary import build_atom_registry, build_si_library
+
+        shared = build_atom_registry()
+        fresh = AtomRegistry(iter(shared))
+        library = build_si_library(fresh)
+        assert library is not build_si_library()
+        assert library.space is fresh.space
+        assert library.si_names == build_si_library().si_names
+
+    def test_execute_cell_results_unchanged(self):
+        from repro.core.schedulers import get_scheduler
+        from repro.exec.runner import execute_cell
+        from repro.exec.spec import SweepCell, WorkloadSpec
+        from repro.fabric.atom import AtomRegistry
+        from repro.h264.silibrary import build_atom_registry, build_si_library
+        from repro.sim.rispp import RisppSimulator
+
+        cell = SweepCell(
+            system="RISPP", scheduler="HEF", num_acs=6,
+            workload=WorkloadSpec(frames=1),
+        )
+        first = execute_cell(cell)
+        assert execute_cell(cell) == first
+        # The same simulation on privately built objects.
+        shared = build_atom_registry()
+        registry = AtomRegistry(iter(shared))
+        library = build_si_library(registry)
+        private = RisppSimulator(
+            library, registry, get_scheduler("HEF"), 6
+        ).run(cell.workload.build())
+        assert private == first

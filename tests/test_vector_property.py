@@ -1,12 +1,12 @@
-"""Property-based differential test: random workloads, identical engines.
+"""Property-based differential test: random workloads, production vs oracle.
 
 Hypothesis draws arbitrary workloads over the real H.264 SI library —
 random hot-spot composition, random per-iteration execution counts
 (including all-zero iterations and empty-ish traces), random iteration
-overheads, random AC budgets, schedulers, and fault schedules — and
-asserts that the reference and vector engines produce *bit-identical*
-:class:`~repro.sim.results.SimulationResult`s, and that ``auto``
-matches both.
+overheads, random AC budgets, schedulers (PREFETCH with speculation on
+included), and fault schedules — and asserts that the production path
+and the scalar oracle of ``tests/oracle_engine.py`` produce
+*bit-identical* :class:`~repro.sim.results.SimulationResult`s.
 
 Where ``tests/test_vector_differential.py`` pins a structured grid,
 this module hunts the corners no grid enumerates: single-iteration
@@ -26,8 +26,11 @@ from hypothesis import strategies as st
 from repro.core.schedulers import get_scheduler
 from repro.fabric.faults import BernoulliLoadFaults, RetryPolicy
 from repro.h264.silibrary import build_atom_registry, build_si_library
+from repro.exec.spec import WorkloadSpec
 from repro.sim.rispp import RisppSimulator
 from repro.workload.trace import HotSpotTrace, Workload
+
+from tests.oracle_engine import OracleRisppSimulator
 
 REGISTRY = build_atom_registry()
 LIBRARY = build_si_library(REGISTRY)
@@ -89,21 +92,31 @@ def random_workload(draw):
 @st.composite
 def random_setup(draw):
     workload = draw(random_workload())
-    scheduler = draw(st.sampled_from(["FSFR", "ASF", "SJF", "HEF"]))
-    acs = draw(st.integers(min_value=1, max_value=14))
+    scheduler = draw(
+        st.sampled_from(["FSFR", "ASF", "SJF", "HEF", "PREFETCH"])
+    )
+    confidence = draw(st.sampled_from([0.0, 0.3, 0.6]))
+    acs = draw(st.integers(min_value=1, max_value=16))
     fault_rate = draw(st.sampled_from([0.0, 0.05, 0.3]))
     fault_seed = draw(st.integers(min_value=0, max_value=2**16))
     max_retries = draw(st.integers(min_value=0, max_value=3))
     record = draw(st.booleans())
-    return workload, scheduler, acs, fault_rate, fault_seed, max_retries, record
+    return (workload, scheduler, confidence, acs, fault_rate, fault_seed,
+            max_retries, record)
 
 
-def _run(workload, scheduler, acs, fault_rate, fault_seed, max_retries,
-         record, engine):
-    sim = RisppSimulator(
+def _scheduler(name, confidence):
+    if name == "PREFETCH":
+        return get_scheduler(name, confidence=confidence)
+    return get_scheduler(name)
+
+
+def _run(workload, scheduler, confidence, acs, fault_rate, fault_seed,
+         max_retries, record, cls):
+    sim = cls(
         LIBRARY,
         REGISTRY,
-        get_scheduler(scheduler),
+        _scheduler(scheduler, confidence),
         acs,
         record_segments=record,
         fault_model=(
@@ -112,7 +125,6 @@ def _run(workload, scheduler, acs, fault_rate, fault_seed, max_retries,
             else None
         ),
         retry_policy=RetryPolicy(max_retries=max_retries),
-        engine=engine,
     )
     return sim.run(workload)
 
@@ -120,18 +132,13 @@ def _run(workload, scheduler, acs, fault_rate, fault_seed, max_retries,
 @settings(max_examples=40, deadline=None)
 @given(setup=random_setup())
 def test_random_workloads_bit_identical(setup):
-    ref = _run(*setup, engine="reference")
-    vec = _run(*setup, engine="vector")
-    auto = _run(*setup, engine="auto")
+    ref = _run(*setup, cls=OracleRisppSimulator)
+    vec = _run(*setup, cls=RisppSimulator)
     for field in dataclasses.fields(ref):
         r = getattr(ref, field.name)
         v = getattr(vec, field.name)
-        a = getattr(auto, field.name)
         assert r == v, (
-            f"reference/vector diverged on {field.name!r}: {r!r} != {v!r}"
-        )
-        assert r == a, (
-            f"reference/auto diverged on {field.name!r}: {r!r} != {a!r}"
+            f"oracle/production diverged on {field.name!r}: {r!r} != {v!r}"
         )
 
 
@@ -140,18 +147,26 @@ def test_random_workloads_bit_identical(setup):
     frames=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=2**16),
     acs=st.integers(min_value=4, max_value=16),
+    generator=st.sampled_from(["h264", "adversarial"]),
+    flip_rate=st.sampled_from([0.0, 0.5]),
+    scheduler=st.sampled_from(["HEF", "PREFETCH"]),
+    confidence=st.sampled_from([0.0, 0.3, 0.6]),
+    fault_rate=st.sampled_from([0.0, 0.05]),
 )
-def test_model_workloads_bit_identical(frames, seed, acs):
-    """The H.264 model generator under random seeds/scales."""
-    from repro.workload.model import generate_workload
-
-    workload = generate_workload(num_frames=frames, seed=seed)
-    results = []
-    for engine in ("reference", "vector"):
-        sim = RisppSimulator(
-            LIBRARY, REGISTRY, get_scheduler("HEF"), acs, engine=engine
-        )
-        results.append(sim.run(workload))
+def test_model_workloads_bit_identical(
+    frames, seed, acs, generator, flip_rate, scheduler, confidence,
+    fault_rate,
+):
+    """The workload generators under random seeds/scales, HEF and
+    speculative PREFETCH, clean and faulty fabrics."""
+    workload = WorkloadSpec(
+        frames=frames, seed=seed, generator=generator, flip_rate=flip_rate
+    ).build()
+    results = [
+        _run(workload, scheduler, confidence, acs, fault_rate, seed, 2,
+             True, cls=cls)
+        for cls in (OracleRisppSimulator, RisppSimulator)
+    ]
     assert results[0] == results[1]
 
 
