@@ -33,12 +33,12 @@ scheduling/simulation requests with deadlines, and the service decides
   containers evict over-committed leases through the normal preemption
   path (reason ``retire``).
 * **Crash safety** — with ``snapshot_every`` set (and a journal on
-  disk), the arbiter periodically persists its complete state
-  (:mod:`repro.service.snapshot`); :func:`recover_service` restores the
-  newest valid snapshot — or replays from tick 0 — and re-executes,
-  verifying every regenerated journal line byte-for-byte against the
-  on-disk tail, so a run killed at *any* tick recovers to bit-identical
-  digests and reports.
+  disk), the arbiter periodically persists the state replay cannot
+  re-derive (:mod:`repro.service.snapshot`); :func:`recover_service`
+  restores the newest valid snapshot — or replays from tick 0 — and
+  re-executes, verifying every regenerated journal line byte-for-byte
+  against the on-disk tail, so a run killed at *any* tick recovers to
+  bit-identical digests and reports.
 
 Everything runs on an integer virtual clock with a ``(tick, kind, seq)``
 event heap and seeded randomness only, so a rerun with the same fleet,
@@ -90,7 +90,13 @@ from .admission import AdmissionController
 from .breaker import CircuitBreaker
 from .control import ControlEvent, validate_control_events
 from .report import ServiceReport, TenantStats
-from .request import RequestRecord, ServiceRequest, generate_requests
+from .request import (
+    RequestRecord,
+    ServiceRequest,
+    generate_requests,
+    make_request,
+    tenant_stream,
+)
 from .snapshot import (
     SNAPSHOT_FORMAT,
     config_fingerprint,
@@ -295,6 +301,57 @@ class _ServiceJournal:
             self._handle = None
 
 
+#: The snapshot schema (see ``_Arbiter._capture_state``): attributes
+#: copied verbatim, keyed without the leading underscore.  Dataclasses
+#: keep every field but those restore re-derives.
+_ARBITER_FIELDS = ("_push_seq", "end_tick", "faults", "memo")
+_RECORD_FIELDS = tuple(
+    f.name for f in dataclasses.fields(RequestRecord) if f.name != "request"
+)
+_STATS_FIELDS = tuple(
+    f.name
+    for f in dataclasses.fields(TenantStats)
+    if f.name not in ("name", "priority", "latencies", "completions")
+)
+_LEDGER_FIELDS = ("in_flight", "leased_atoms", "est_ticks")
+_BUCKET_FIELDS = ("tokens", "_last")
+_BREAKER_FIELDS = ("trips", "_state", "_open_until", "_faults")
+
+
+def _fields(obj: Any, names: Sequence[str]) -> Dict[str, Any]:
+    return {name.lstrip("_"): getattr(obj, name) for name in names}
+
+
+def _set_fields(obj: Any, raw: Dict[str, Any], names: Sequence[str]) -> None:
+    for name in names:
+        setattr(obj, name, raw[name.lstrip("_")])
+
+
+def _arrival_runs(
+    heap: List[Tuple[int, int, int, int, int]]
+) -> List[List[int]]:
+    """The heap's pending arrivals as runs ``[first_seq, count, delta]``
+    of requests ``seq`` pushed with push sequence ``seq + delta``: the
+    request table gives the rest of each entry, and a stream's pending
+    arrivals are one run, not one entry per future request.
+    """
+    runs: List[List[int]] = []
+    for _tick, _kind, push_seq, seq, _b in sorted(
+        (entry for entry in heap if entry[1] == _ARRIVAL),
+        key=lambda entry: entry[3],
+    ):
+        last = runs[-1] if runs else None
+        if last and last[0] + last[1] == seq and last[2] == push_seq - seq:
+            last[1] += 1
+        else:
+            runs.append([seq, 1, push_seq - seq])
+    return runs
+
+
+def _record_state(record: RequestRecord) -> Dict[str, Any]:
+    return {"seq": record.request.seq, **_fields(record, _RECORD_FIELDS)}
+
+
 class _Arbiter:
     """One service run's mutable state (see module docstring)."""
 
@@ -321,14 +378,8 @@ class _Arbiter:
         self.metrics = metrics
         self.journal = journal
         #: Control schedule in deterministic processing order (tick,
-        #: then position in the caller's list).
-        self.controls: List[ControlEvent] = [
-            event
-            for _, event in sorted(
-                enumerate(control_events),
-                key=lambda item: (item[1].tick, item[0]),
-            )
-        ]
+        #: then position in the caller's list: the sort is stable).
+        self.controls = sorted(control_events, key=lambda e: e.tick)
         self.fingerprint = config_fingerprint(
             tenants, config, self.controls
         )
@@ -350,8 +401,10 @@ class _Arbiter:
             )
             for tenant in tenants
         }
-        self.requests: List[ServiceRequest] = []
-        self.records: List[RequestRecord] = []
+        #: Request table, indexed by ``seq``; joins append their streams.
+        self.requests: List[ServiceRequest] = list(
+            generate_requests(tenants, config.duration, config.seed)
+        )
         self.queue: List[RequestRecord] = []
         self.running: List[RequestRecord] = []
         self.heap: List[Tuple[int, int, int, int, int]] = []
@@ -514,13 +567,6 @@ class _Arbiter:
     # -- the event loop ----------------------------------------------------
 
     def run(self) -> ServiceReport:
-        self.requests = list(
-            generate_requests(
-                list(self.tenants.values()),
-                self.config.duration,
-                self.config.seed,
-            )
-        )
         self.journal.write(
             {
                 "kind": "header",
@@ -637,15 +683,11 @@ class _Arbiter:
             # holds this answer — serve it admission-free.
             record = RequestRecord(
                 request=request,
-                status="running",
                 admitted=False,
                 cache_hit=True,
                 service_ticks=_HIT_LATENCY_TICKS,
                 digest=self._digest(payload),
             )
-            record.started = now
-            record.index = len(self.records)
-            self.records.append(record)
             self.running.append(record)
             self.journal.write(
                 {
@@ -658,7 +700,7 @@ class _Arbiter:
             self.push(
                 now + _HIT_LATENCY_TICKS,
                 _COMPLETE,
-                record.index,
+                request.seq,
                 record.epoch,
             )
             return
@@ -681,8 +723,6 @@ class _Arbiter:
             request=request,
             est_ticks=self.admission.estimate(request.tenant),
         )
-        record.index = len(self.records)
-        self.records.append(record)
         self.queue.append(record)
         if self.tracer.enabled:
             self.tracer.emit(
@@ -785,35 +825,29 @@ class _Arbiter:
                 "tenant": spec.name,
             }
         )
-        # The joining tenant's request stream: seeded from the service
-        # seed and the tenant *name* (exactly like the initial fleet's
-        # streams), started relative to the join tick.  Global sequence
-        # numbers continue from the current request table, so the
-        # stream — and every arbitration tie-break — is a pure function
-        # of (fleet, config, control schedule).
-        rng = random.Random(f"{self.config.seed}:{spec.name}")
-        low = max(1, spec.mean_gap // 2)
-        high = max(low, spec.mean_gap * 3 // 2)
-        tick = now + low + rng.randrange(high - low + 1)
-        counter = 0
-        while tick < self.config.duration:
-            hot_spot = spec.hot_spots[rng.randrange(len(spec.hot_spots))]
-            variant = rng.randrange(spec.variants)
-            request = ServiceRequest(
-                tenant=spec.name,
-                request_id=f"{spec.name}-r{counter:04d}",
-                hot_spot=hot_spot,
-                variant=variant,
-                arrival=tick,
-                deadline=tick + spec.deadline_slack,
-                lease_acs=spec.lease_acs,
-                priority=spec.priority_rank,
-                seq=len(self.requests),
+        for request in self._extend_requests(spec, now):
+            self.push(request.arrival, _ARRIVAL, request.seq)
+
+    def _extend_requests(
+        self, spec: TenantSpec, start: int
+    ) -> List[ServiceRequest]:
+        """Append a joining tenant's stream to the request table.
+
+        The stream is seeded exactly like the initial fleet's and starts
+        at the join tick; global sequence numbers continue from the
+        table, so the stream — and every arbitration tie-break — is a
+        pure function of (fleet, config, control schedule).
+        """
+        first = len(self.requests)
+        self.requests.extend(
+            make_request(
+                spec, first + counter, arrival, counter, hot_spot, variant
             )
-            self.requests.append(request)
-            self.push(tick, _ARRIVAL, request.seq)
-            counter += 1
-            tick += low + rng.randrange(high - low + 1)
+            for arrival, counter, hot_spot, variant in tenant_stream(
+                spec, self.config.seed, start, self.config.duration
+            )
+        )
+        return self.requests[first:]
 
     def _control_leave(self, now: int, event: ControlEvent) -> None:
         self.draining.add(event.name)
@@ -843,14 +877,11 @@ class _Arbiter:
 
     def _control_ac_remove(self, now: int, event: ControlEvent) -> None:
         for _ in range(event.count):
-            candidates = [
-                c.index
-                for c in self.fabric.containers
-                if not c.is_faulty
-            ]
-            if not candidates:
-                break
-            index = candidates[-1]  # stale-victim style: highest live
+            # Stale-victim style: the highest live index.  Validation
+            # guarantees the schedule never retires more than are live.
+            index = max(
+                c.index for c in self.fabric.containers if not c.is_faulty
+            )
             self.fabric.retire_container(index)
             self._count("service.acs_retired")
             if self.tracer.enabled:
@@ -898,25 +929,26 @@ class _Arbiter:
             }
         )
 
-    def _on_complete(self, now: int, index: int, epoch: int) -> None:
-        record = self.records[index]
-        if record.status != "running" or record.epoch != epoch:
+    def _on_complete(self, now: int, seq: int, epoch: int) -> None:
+        record = next(
+            (r for r in self.running if r.request.seq == seq), None
+        )
+        if record is None or record.epoch != epoch:
             return  # stale completion of a preempted dispatch
-        record.status = "done"
-        record.completed = now
         request = record.request
         stats = self.stats[request.tenant]
         latency = now - request.arrival
-        stats.latencies.append(latency)
-        stats.completions.append(
-            {
-                "request": request.request_id,
-                "tick": now,
-                "digest": record.digest,
-                "degraded": record.degraded,
-                "cache_hit": record.cache_hit,
-            }
-        )
+        line: Dict[str, Any] = {
+            "kind": "complete",
+            "tick": now,
+            "tenant": request.tenant,
+            "request": request.request_id,
+            "latency": latency,
+            "degraded": record.degraded,
+            "cache_hit": record.cache_hit,
+            "digest": record.digest,
+        }
+        stats.record_completion(line)
         if not record.admitted:
             stats.cache_hits += 1
             self._count("service.cache_hits")
@@ -949,18 +981,7 @@ class _Arbiter:
                     cache_hit=record.cache_hit,
                 )
             )
-        self.journal.write(
-            {
-                "kind": "complete",
-                "tick": now,
-                "tenant": request.tenant,
-                "request": request.request_id,
-                "latency": latency,
-                "degraded": record.degraded,
-                "cache_hit": record.cache_hit,
-                "digest": record.digest,
-            }
-        )
+        self.journal.write(line)
         self._check_drained(now, request.tenant)
 
     def _breaker_event(self, now: int, state: str) -> None:
@@ -1010,8 +1031,6 @@ class _Arbiter:
     def _start(self, record: RequestRecord, now: int) -> None:
         self.queue.remove(record)
         self.running.append(record)
-        record.status = "running"
-        record.started = now
         record.epoch += 1
 
     def _dispatch_fabric(self, record: RequestRecord, now: int) -> None:
@@ -1032,7 +1051,7 @@ class _Arbiter:
         self.push(
             now + record.service_ticks,
             _COMPLETE,
-            record.index,
+            request.seq,
             record.epoch,
         )
 
@@ -1045,7 +1064,6 @@ class _Arbiter:
         else:
             reason = "cisa_tenant"
         record.degraded = True
-        record.degrade_reason = reason
         record.holds_lease = False
         payload, hit = self._execute(
             self._cell_for(request, degraded=True)
@@ -1075,7 +1093,7 @@ class _Arbiter:
         self.push(
             now + record.service_ticks,
             _COMPLETE,
-            record.index,
+            request.seq,
             record.epoch,
         )
 
@@ -1115,7 +1133,6 @@ class _Arbiter:
         request = record.request
         self.fabric.release_acs(request.lease_acs)
         record.holds_lease = False
-        record.status = "queued"
         record.epoch += 1  # invalidate the scheduled completion
         record.preemptions += 1
         backoff = max(
@@ -1163,32 +1180,15 @@ class _Arbiter:
 
     # -- snapshot / restore ------------------------------------------------
 
-    _RECORD_FIELDS = (
-        "status",
-        "admitted",
-        "index",
-        "est_ticks",
-        "not_before",
-        "preemptions",
-        "epoch",
-        "started",
-        "completed",
-        "degraded",
-        "cache_hit",
-        "holds_lease",
-        "service_ticks",
-        "digest",
-        "degrade_reason",
-    )
-
     def _capture_state(self, now: int) -> Dict[str, Any]:
-        """The complete mutable state of the run at ``now`` (JSON-able).
+        """The state of the run at ``now`` that replay cannot re-derive.
 
         Captured *between* heap events: the heap holds everything still
         pending, so restoring this dict and re-entering the loop is the
-        exact continuation of the original run.
+        exact continuation of the original run.  Keys name the arbiter
+        attribute they restore (``arrivals`` completes ``heap``);
+        :meth:`_restore_state` re-derives the rest.
         """
-        rng_state = self.rng.getstate()
         return {
             "format": SNAPSHOT_FORMAT,
             "salt": self._salt(),
@@ -1196,68 +1196,33 @@ class _Arbiter:
             "tick": now,
             "journal_offset": self.journal.offset,
             "journal_sha": self.journal.digest(),
-            "end_tick": self.end_tick,
-            "push_seq": self._push_seq,
-            "heap": [list(entry) for entry in self.heap],
-            "requests": [
-                dataclasses.asdict(request) for request in self.requests
-            ],
-            "records": [
-                dict(
-                    {"seq": record.request.seq},
-                    **{
-                        name: getattr(record, name)
-                        for name in self._RECORD_FIELDS
-                    },
-                )
-                for record in self.records
-            ],
-            "queue": [record.index for record in self.queue],
-            "running": [record.index for record in self.running],
-            "active_tenants": sorted(self.tenants),
+            **_fields(self, _ARBITER_FIELDS),
+            "heap": [entry for entry in self.heap if entry[1] != _ARRIVAL],
+            "arrivals": _arrival_runs(self.heap),
+            "queue": [_record_state(record) for record in self.queue],
+            "running": [_record_state(record) for record in self.running],
             "stats": {
-                name: {
-                    "priority": stats.priority,
-                    "submitted": stats.submitted,
-                    "admitted": stats.admitted,
-                    "completed": stats.completed,
-                    "degraded": stats.degraded,
-                    "cache_hits": stats.cache_hits,
-                    "preemptions": stats.preemptions,
-                    "shed": stats.shed,
-                    "latencies": stats.latencies,
-                    "completions": stats.completions,
-                }
+                name: _fields(stats, _STATS_FIELDS)
                 for name, stats in self.stats.items()
             },
             "admission": {
                 name: {
-                    "tokens": ledger.bucket.tokens,
-                    "bucket_last": ledger.bucket._last,
-                    "in_flight": ledger.in_flight,
-                    "leased_atoms": ledger.leased_atoms,
-                    "est_ticks": ledger.est_ticks,
+                    **_fields(ledger, _LEDGER_FIELDS),
+                    **_fields(ledger.bucket, _BUCKET_FIELDS),
                 }
                 for name, ledger in (
                     (name, self.admission.ledger_for(name))
                     for name in sorted(self.tenants)
                 )
             },
-            "breaker": {
-                "trips": self.breaker.trips,
-                "state": self.breaker.state,
-                "open_until": self.breaker._open_until,
-                "faults": list(self.breaker._faults),
-            },
-            "rng": [rng_state[0], list(rng_state[1]), rng_state[2]],
-            "memo": self.memo,
+            "breaker": _fields(self.breaker, _BREAKER_FIELDS),
+            "rng": self.rng.getstate(),
             "fabric": {
                 "num_acs": self.fabric.num_acs,
-                "dead": list(self.fabric.dead_indices),
-                "retired": list(self.fabric.retired_indices),
+                "dead": self.fabric.dead_indices,
+                "retired": self.fabric.retired_indices,
                 "reserved": self.fabric.reserved_acs,
             },
-            "faults": self.faults,
             "draining": sorted(self.draining),
             "drained": sorted(self.drained),
         }
@@ -1280,90 +1245,68 @@ class _Arbiter:
                 )
             )
 
-    def _restore_state(self, state: Dict[str, Any]) -> None:
-        """Rebuild the arbiter from a validated snapshot dict.
+    def _restore_state(
+        self, state: Dict[str, Any], journal_prefix: bytes
+    ) -> None:
+        """Rebuild the arbiter from a validated snapshot and the journal
+        prefix it anchors to.
 
-        Immutable structure (tenant specs) is *re-derived* from the
-        initial fleet plus the control schedule's join specs; only
-        mutable state is deserialised.
+        Re-derived, not read: tenant specs (the initial fleet plus the
+        control schedule's joins), the request table (the initial
+        fleet's, plus the streams of joins applied before the snapshot)
+        and the per-tenant latency and completion lists (refolded from
+        the prefix's ``complete`` lines).
         """
         spec_by_name: Dict[str, TenantSpec] = dict(self.tenants)
-        for event in self.controls:
-            if event.action == "tenant_join" and event.spec is not None:
-                spec_by_name[event.name] = event.spec
         try:
-            active: List[str] = list(state["active_tenants"])
+            for event in self.controls:
+                if event.action == "tenant_join" and event.spec is not None:
+                    spec_by_name[event.name] = event.spec
+                    if event.name in state["stats"]:  # joined already
+                        self._extend_requests(event.spec, event.tick)
             self.tenants = {
-                name: spec_by_name[name] for name in active
+                name: spec_by_name[name] for name in state["stats"]
             }
-            self.requests = [
-                ServiceRequest(**raw) for raw in state["requests"]
-            ]
-            by_seq = {
-                request.seq: request for request in self.requests
-            }
-            self.records = []
-            for raw in state["records"]:
-                record = RequestRecord(request=by_seq[raw["seq"]])
-                for name in self._RECORD_FIELDS:
-                    setattr(record, name, raw[name])
-                self.records.append(record)
-            self.queue = [self.records[i] for i in state["queue"]]
-            self.running = [self.records[i] for i in state["running"]]
-            self.heap = [
-                (
-                    int(e[0]),
-                    int(e[1]),
-                    int(e[2]),
-                    int(e[3]),
-                    int(e[4]),
+            _set_fields(self, state, _ARBITER_FIELDS)
+            self.heap = [tuple(entry) for entry in state["heap"]]
+            for first, count, delta in state["arrivals"]:
+                self.heap.extend(
+                    (self.requests[seq].arrival, _ARRIVAL, seq + delta, seq,
+                     -1)
+                    for seq in range(first, first + count)
                 )
-                for e in state["heap"]
+            # Push sequence numbers are unique, so the pop order is the
+            # same whatever the heap's internal layout.
+            heapq.heapify(self.heap)
+            self.queue = [self._load_record(raw) for raw in state["queue"]]
+            self.running = [
+                self._load_record(raw) for raw in state["running"]
             ]
-            self._push_seq = int(state["push_seq"])
-            self.end_tick = int(state["end_tick"])
-            self.faults = int(state["faults"])
             self.draining = set(state["draining"])
             self.drained = set(state["drained"])
-            self.memo = dict(state["memo"])
-            self.stats = {}
-            for name, raw_stats in state["stats"].items():
-                stats = TenantStats(
-                    name=name, priority=raw_stats["priority"]
+            self.stats = {
+                name: TenantStats(
+                    name=name, priority=spec_by_name[name].priority, **raw
                 )
-                stats.submitted = raw_stats["submitted"]
-                stats.admitted = raw_stats["admitted"]
-                stats.completed = raw_stats["completed"]
-                stats.degraded = raw_stats["degraded"]
-                stats.cache_hits = raw_stats["cache_hits"]
-                stats.preemptions = raw_stats["preemptions"]
-                stats.shed = dict(raw_stats["shed"])
-                stats.latencies = list(raw_stats["latencies"])
-                stats.completions = list(raw_stats["completions"])
-                self.stats[name] = stats
+                for name, raw in state["stats"].items()
+            }
+            for line in journal_prefix.decode("ascii").splitlines():
+                # Canonical JSON: only a completion carries this pair.
+                if '"kind":"complete"' in line:
+                    record = json.loads(line)
+                    self.stats[record["tenant"]].record_completion(record)
             self.admission = AdmissionController(
-                [spec_by_name[name] for name in active],
+                list(self.tenants.values()),
                 queue_limit=self.config.queue_limit,
                 default_est_ticks=_DEFAULT_EST_TICKS,
             )
-            for name, raw_ledger in state["admission"].items():
+            for name, raw in state["admission"].items():
                 ledger = self.admission.ledger_for(name)
-                ledger.bucket.tokens = int(raw_ledger["tokens"])
-                ledger.bucket._last = int(raw_ledger["bucket_last"])
-                ledger.in_flight = int(raw_ledger["in_flight"])
-                ledger.leased_atoms = int(raw_ledger["leased_atoms"])
-                ledger.est_ticks = int(raw_ledger["est_ticks"])
-            raw_breaker = state["breaker"]
-            self.breaker.trips = int(raw_breaker["trips"])
-            self.breaker._state = str(raw_breaker["state"])
-            self.breaker._open_until = int(raw_breaker["open_until"])
-            self.breaker._faults = [
-                int(t) for t in raw_breaker["faults"]
-            ]
-            raw_rng = state["rng"]
-            self.rng.setstate(
-                (raw_rng[0], tuple(raw_rng[1]), raw_rng[2])
-            )
+                _set_fields(ledger, raw, _LEDGER_FIELDS)
+                _set_fields(ledger.bucket, raw, _BUCKET_FIELDS)
+            _set_fields(self.breaker, state["breaker"], _BREAKER_FIELDS)
+            version, internal, gauss = state["rng"]
+            self.rng.setstate((version, tuple(internal), gauss))
             raw_fabric = state["fabric"]
             self.fabric = Fabric(self._registry(), self.config.num_acs)
             grown = int(raw_fabric["num_acs"]) - self.config.num_acs
@@ -1381,6 +1324,12 @@ class _Arbiter:
             raise RecoveryError(
                 f"snapshot is structurally invalid: {exc!r}"
             ) from exc
+
+    def _load_record(self, raw: Dict[str, Any]) -> RequestRecord:
+        return RequestRecord(
+            request=self.requests[raw["seq"]],
+            **{name: raw[name] for name in _RECORD_FIELDS},
+        )
 
     # -- reporting ---------------------------------------------------------
 
@@ -1440,6 +1389,7 @@ def run_service(
         control_events,
         config.num_acs,
         config.duration,
+        config.fault_ticks,
     )
     journal = _ServiceJournal(journal_path, fsync=fsync)
     try:
@@ -1501,6 +1451,7 @@ def recover_service(
         control_events,
         config.num_acs,
         config.duration,
+        config.fault_ticks,
     )
     path = Path(journal_path)
     if not path.is_file():
@@ -1522,14 +1473,9 @@ def recover_service(
             f"cannot recover: journal header is not valid JSON: {exc}"
         ) from exc
     salt = cache.salt if cache is not None else CODE_VERSION_SALT
-    ordered_controls = [
-        event
-        for _, event in sorted(
-            enumerate(control_events),
-            key=lambda item: (item[1].tick, item[0]),
-        )
-    ]
-    fingerprint = config_fingerprint(tenants, config, ordered_controls)
+    fingerprint = config_fingerprint(
+        tenants, config, sorted(control_events, key=lambda e: e.tick)
+    )
     if not isinstance(header, dict) or header.get("kind") != "header":
         raise RecoveryError(
             "cannot recover: journal does not start with a header line"
@@ -1590,7 +1536,7 @@ def recover_service(
                 )
             )
         if state is not None:
-            arbiter._restore_state(state)
+            arbiter._restore_state(state, data[:offset])
             report = arbiter.run_recovered()
         else:
             report = arbiter.run()

@@ -189,6 +189,7 @@ def validate_control_events(
     events: Sequence[ControlEvent],
     num_acs: int,
     duration: int,
+    fault_ticks: Sequence[int] = (),
 ) -> None:
     """Reject impossible control schedules up front.
 
@@ -199,19 +200,24 @@ def validate_control_events(
     ``duration``, the tick arrivals stop at, and an ``ac_remove`` may
     retire at most the ACs live at that point of the schedule: the
     ``num_acs`` configured plus earlier ``ac_add`` minus earlier
-    ``ac_remove`` counts.  Raises :class:`ServiceError` on the first
-    violation.
+    ``ac_remove`` counts, minus one container per entry of
+    ``fault_ticks`` at or before the event's tick (faults land before
+    control events on a tick; a fault with no live container kills
+    nothing).  Raises :class:`ServiceError` on the first violation.
     """
     active = set(initial_tenants)
     ever = set(initial_tenants)
     live_acs = num_acs
-    ordered = sorted(enumerate(events), key=lambda e: (e[1].tick, e[0]))
-    for _, event in ordered:
+    faults = sorted(fault_ticks, reverse=True)
+    for event in sorted(events, key=lambda e: e.tick):
         if event.tick >= duration:
             raise ServiceError(
                 f"{event.action} at tick {event.tick} is outside the run: "
                 f"arrivals stop at tick {duration}"
             )
+        while faults and faults[-1] <= event.tick:
+            faults.pop()
+            live_acs = max(0, live_acs - 1)
         if event.action == "ac_add":
             live_acs += event.count
         elif event.action == "ac_remove":

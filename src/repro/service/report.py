@@ -17,6 +17,9 @@ from ..exec.cache import canonical_json
 
 __all__ = ["TenantStats", "ServiceReport"]
 
+#: Fields of a journal ``complete`` line that enter a tenant's digest.
+_COMPLETION_KEYS = ("request", "tick", "digest", "degraded", "cache_hit")
+
 
 def _percentile(values: List[int], q: float) -> float:
     """Nearest-rank percentile of ``values`` (0 <= q <= 1)."""
@@ -43,6 +46,13 @@ class TenantStats:
     latencies: List[int] = field(default_factory=list)
     #: Per-completion records feeding :meth:`digest`.
     completions: List[Dict[str, Any]] = field(default_factory=list)
+
+    def record_completion(self, line: Dict[str, Any]) -> None:
+        """Fold in one journal ``complete`` line (live, or on restore)."""
+        self.latencies.append(line["latency"])
+        self.completions.append(
+            {key: line[key] for key in _COMPLETION_KEYS}
+        )
 
     @property
     def shed_total(self) -> int:

@@ -6,20 +6,26 @@ hot spot X of my workload, answer by tick D".  Streams are generated
 pure function of the fleet and the service seed, never of execution
 interleaving, which is what makes two soak runs bit-identical.
 
-The mutable :class:`RequestRecord` tracks one admitted request through
-the arbiter: queued → running → done, with preemption count, backoff
-gate and the delivered answer's digest.
+The mutable :class:`RequestRecord` tracks one live request through the
+arbiter: queued → running, with preemption count, backoff gate and the
+delivered answer's digest; it is dropped when the request completes.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, Sequence, Tuple
 
 from .tenant import TenantSpec
 
-__all__ = ["ServiceRequest", "RequestRecord", "generate_requests"]
+__all__ = [
+    "ServiceRequest",
+    "RequestRecord",
+    "generate_requests",
+    "make_request",
+    "tenant_stream",
+]
 
 
 @dataclass(frozen=True)
@@ -42,28 +48,24 @@ class ServiceRequest:
 
 @dataclass
 class RequestRecord:
-    """Mutable life-cycle state of one *admitted* request.
+    """Mutable life-cycle state of one *live* request.
 
-    ``epoch`` increments every time the request is (re-)dispatched; a
-    completion event carries the epoch it was scheduled under, so a
-    preempted dispatch's stale completion is recognised and ignored.
+    A record lives in the arbiter's queue or running list and is
+    dropped when its request completes.  ``epoch`` increments every
+    time the request is (re-)dispatched; a completion event carries the
+    epoch it was scheduled under, so a preempted dispatch's stale
+    completion is recognised and ignored.
     """
 
     request: ServiceRequest
-    #: ``queued`` | ``running`` | ``done``.
-    status: str = "queued"
     #: False for admission-free cache hits (no ledger charge to refund).
     admitted: bool = True
-    #: Position in the arbiter's record table (set when registered).
-    index: int = -1
     #: Estimated fabric service time (ticks) at admission.
     est_ticks: int = 0
     #: Earliest tick the request may be (re-)dispatched.
     not_before: int = 0
     preemptions: int = 0
     epoch: int = 0
-    started: int = -1
-    completed: int = -1
     degraded: bool = False
     cache_hit: bool = False
     #: Whether the current dispatch holds a fabric lease.
@@ -71,8 +73,51 @@ class RequestRecord:
     service_ticks: int = 0
     #: Short content digest of the delivered result payload.
     digest: str = ""
-    #: Degradation reason when served by the software path.
-    degrade_reason: str = field(default="")
+
+
+def tenant_stream(
+    tenant: TenantSpec, seed: int, start: int, duration: int
+) -> Iterator[Tuple[int, int, str, int]]:
+    """One tenant's seeded arrivals after ``start`` and before ``duration``.
+
+    Yields ``(arrival, counter, hot_spot, variant)``.  The generator is
+    seeded from ``seed`` and the tenant *name* (not its fleet position),
+    so adding a tenant never perturbs the other tenants' streams.
+    Arrival gaps are uniform in ``[mean_gap/2, 3*mean_gap/2]``.
+    """
+    rng = random.Random(f"{seed}:{tenant.name}")
+    low = max(1, tenant.mean_gap // 2)
+    high = max(low, tenant.mean_gap * 3 // 2)
+    tick = start + low + rng.randrange(high - low + 1)
+    counter = 0
+    while tick < duration:
+        hot_spot = tenant.hot_spots[rng.randrange(len(tenant.hot_spots))]
+        variant = rng.randrange(tenant.variants)
+        yield tick, counter, hot_spot, variant
+        counter += 1
+        tick += low + rng.randrange(high - low + 1)
+
+
+def make_request(
+    tenant: TenantSpec,
+    seq: int,
+    arrival: int,
+    counter: int,
+    hot_spot: str,
+    variant: int,
+) -> ServiceRequest:
+    """The request for one :func:`tenant_stream` item, numbered ``seq``."""
+    return ServiceRequest(
+        tenant=tenant.name,
+        request_id=f"{tenant.name}-r{counter:04d}",
+        hot_spot=hot_spot,
+        variant=variant,
+        arrival=arrival,
+        deadline=arrival + tenant.deadline_slack,
+        lease_acs=tenant.lease_acs,
+        priority=tenant.priority_rank,
+        seq=seq,
+    )
 
 
 def generate_requests(
@@ -80,53 +125,21 @@ def generate_requests(
 ) -> Tuple[ServiceRequest, ...]:
     """The full deterministic request stream of one service run.
 
-    Each tenant gets its own generator seeded from ``seed`` and the
-    tenant *name* (not its fleet position), so adding a tenant never
-    perturbs the other tenants' streams.  Arrival gaps are uniform in
-    ``[mean_gap/2, 3*mean_gap/2]``; the merged stream is ordered by
-    ``(arrival, tenant, per-tenant counter)`` and numbered globally.
+    The tenants' :func:`tenant_stream` streams, merged in
+    ``(arrival, tenant, per-tenant counter)`` order and numbered
+    globally.
     """
-    raw: List[Tuple[int, str, int, str, int, int, int]] = []
-    for tenant in tenants:
-        rng = random.Random(f"{seed}:{tenant.name}")
-        low = max(1, tenant.mean_gap // 2)
-        high = max(low, tenant.mean_gap * 3 // 2)
-        tick = low + rng.randrange(high - low + 1)
-        counter = 0
-        while tick < duration:
-            hot_spot = tenant.hot_spots[
-                rng.randrange(len(tenant.hot_spots))
-            ]
-            variant = rng.randrange(tenant.variants)
-            raw.append(
-                (
-                    tick,
-                    tenant.name,
-                    counter,
-                    hot_spot,
-                    variant,
-                    tick + tenant.deadline_slack,
-                    tenant.lease_acs,
-                )
-            )
-            counter += 1
-            tick += low + rng.randrange(high - low + 1)
-    raw.sort(key=lambda item: (item[0], item[1], item[2]))
-    ranks = {tenant.name: tenant.priority_rank for tenant in tenants}
-    requests: List[ServiceRequest] = []
-    for seq, item in enumerate(raw):
-        arrival, name, counter, hot_spot, variant, deadline, lease = item
-        requests.append(
-            ServiceRequest(
-                tenant=name,
-                request_id=f"{name}-r{counter:04d}",
-                hot_spot=hot_spot,
-                variant=variant,
-                arrival=arrival,
-                deadline=deadline,
-                lease_acs=lease,
-                priority=ranks[name],
-                seq=seq,
-            )
+    by_name = {tenant.name: tenant for tenant in tenants}
+    merged = sorted(
+        (arrival, tenant.name, counter, hot_spot, variant)
+        for tenant in tenants
+        for arrival, counter, hot_spot, variant in tenant_stream(
+            tenant, seed, 0, duration
         )
-    return tuple(requests)
+    )
+    return tuple(
+        make_request(by_name[name], seq, arrival, counter, hot_spot, variant)
+        for seq, (arrival, name, counter, hot_spot, variant) in enumerate(
+            merged
+        )
+    )

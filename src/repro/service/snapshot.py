@@ -1,12 +1,16 @@
 """Versioned, salted, atomically-written arbiter snapshots.
 
-A snapshot is the arbiter's complete mutable state at one virtual tick
-— event heap, request table, per-tenant ledgers and stats, breaker,
-RNG, answer memo, fabric shape — plus an *anchor* into the service
-journal: the byte length of the journal prefix written so far and the
-SHA-256 of exactly those bytes.  Recovery restores the newest snapshot
-whose anchor still matches the on-disk journal and re-executes from
-there, verifying every regenerated line against the journal tail.
+A snapshot holds only the arbiter state replay cannot re-derive —
+pending events, live requests, per-tenant counters and admission
+ledgers, breaker, RNG, answer memo, fabric shape, drain sets — plus an
+*anchor* into the service journal: the byte length of the journal
+prefix written so far and the SHA-256 of exactly those bytes.  Restore
+regenerates the request table from the seeded streams and refolds the
+latency and completion lists from the prefix's ``complete`` lines, so
+a snapshot's size follows live work, not history.  Recovery restores
+the newest snapshot whose anchor still matches the on-disk journal and
+re-executes from there, verifying every regenerated line against the
+journal tail.
 
 Snapshots are **sidecar** files under ``<journal>.snap/`` — they never
 appear in the journal itself, so journal digests are independent of the
@@ -40,8 +44,9 @@ __all__ = [
 ]
 
 #: Snapshot schema version; a bump orphans every older snapshot (they
-#: then read as invalid and recovery falls back to full replay).
-SNAPSHOT_FORMAT = 1
+#: then read as invalid and recovery falls back to full replay).  v2
+#: dropped everything restore can re-derive.
+SNAPSHOT_FORMAT = 2
 
 #: Newest snapshots kept per journal; older ones are pruned on write.
 _SNAPSHOT_KEEP = 3

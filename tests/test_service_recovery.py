@@ -13,14 +13,19 @@ pins, and the shared durable-file primitives in :mod:`repro._atomic`.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._atomic import atomic_write_text, trim_torn_tail
 from repro.cli import main as cli_main
@@ -30,10 +35,10 @@ from repro.errors import (
     ServiceCrash,
     ServiceError,
 )
-from repro.exec.cache import ResultCache
+from repro.exec.cache import ResultCache, canonical_json
 from repro.exec.journal import SweepJournal
 from repro.exec.spec import SweepCell, WorkloadSpec
-from repro.obs import RecordingTracer
+from repro.obs import NULL_TRACER, RecordingTracer
 from repro.obs.events import (
     AcRetired,
     ServiceRecovered,
@@ -44,8 +49,10 @@ from repro.obs.events import (
 from repro.service import (
     CONTROL_ACTIONS,
     SHED_REASONS,
+    SNAPSHOT_FORMAT,
     CircuitBreaker,
     ControlEvent,
+    RequestRecord,
     ServiceConfig,
     config_fingerprint,
     derive_join_tenant,
@@ -59,6 +66,7 @@ from repro.service import (
     validate_control_events,
     write_snapshot,
 )
+from repro.service.arbiter import _Arbiter, _record_state, _ServiceJournal
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -389,6 +397,24 @@ class TestRecoveryEdges:
         report = recover_service(fleet(), config, journal_path=journal)
         assert_identical(report, ref_report, journal, ref_journal)
 
+    def test_older_snapshot_format_falls_back_to_replay(
+        self, tmp_path, reference
+    ):
+        ref_report, ref_journal = reference
+        config = soak_config(snapshot_every=250)
+        journal = self.crashed_journal(tmp_path)
+        for snap in list_snapshots(journal):
+            state = json.loads(snap.read_text())
+            state["format"] = SNAPSHOT_FORMAT - 1
+            snap.write_text(json.dumps(state))
+        tracer = RecordingTracer()
+        report = recover_service(
+            fleet(), config, journal_path=journal, tracer=tracer
+        )
+        recovered = [e for e in tracer if isinstance(e, ServiceRecovered)]
+        assert [e.source for e in recovered] == ["replay"]
+        assert_identical(report, ref_report, journal, ref_journal)
+
     def test_torn_journal_tail_is_trimmed(self, tmp_path, reference):
         ref_report, ref_journal = reference
         config = soak_config(snapshot_every=250)
@@ -501,6 +527,158 @@ class TestRecoveryEdges:
         path = write_snapshot(journal, state)
         assert path.parent == snapshot_dir(journal)
         assert json.loads(path.read_text())["tick"] == 7
+
+
+# -- the snapshot schema ---------------------------------------------------
+
+#: Attributes a snapshot does not carry, per object: fixed by the run's
+#: inputs, operational, or re-derived on restore.  A new attribute that
+#: is neither snapshotted nor listed here fails the completeness test.
+DERIVED = {
+    "arbiter": {
+        # inputs and handles
+        "config", "cache", "tracer", "metrics", "journal", "controls",
+        "fingerprint", "crash_at", "crash_mode", "journal_path", "fsync",
+        # operational: recovery never writes snapshots
+        "replaying", "next_snapshot",
+        # re-derived: specs from the fleet and the schedule's joins, the
+        # request table from the seeded streams
+        "tenants", "requests",
+    },
+    "record": {"request"},
+    "stats": {"name", "priority", "latencies", "completions"},
+    "ledger": {"spec", "bucket"},
+    "bucket": {"capacity", "interval"},
+    "breaker": {"threshold", "window", "cooldown"},
+}
+
+
+def crashed_arbiter(crash_at):
+    """An arbiter run under the full control schedule up to ``crash_at``."""
+    arbiter = _Arbiter(
+        tenants=fleet(),
+        config=soak_config(),
+        cache=None,
+        tracer=NULL_TRACER,
+        metrics=None,
+        journal=_ServiceJournal(None),
+        control_events=control_schedule(),
+        crash_at_tick=crash_at,
+        crash_mode="raise",
+    )
+    with pytest.raises(ServiceCrash):
+        arbiter.run()
+    return arbiter
+
+
+class TestSnapshotSchema:
+    def test_every_attribute_is_snapshotted_or_derived(self):
+        # Tick 1550 is after every control action of the schedule.
+        arbiter = crashed_arbiter(1550)
+        state = arbiter._capture_state(arbiter.end_tick)
+        name = sorted(arbiter.tenants)[0]
+        ledger = arbiter.admission.ledger_for(name)
+        record = RequestRecord(request=arbiter.requests[0])
+        checks = {
+            "arbiter": (arbiter, state),
+            "record": (record, _record_state(record)),
+            "stats": (arbiter.stats[name], state["stats"][name]),
+            "ledger": (ledger, state["admission"][name]),
+            "bucket": (ledger.bucket, state["admission"][name]),
+            "breaker": (arbiter.breaker, state["breaker"]),
+        }
+        for label, (obj, snapshotted) in checks.items():
+            attributes = {attr.lstrip("_") for attr in vars(obj)}
+            missing = attributes - set(snapshotted) - DERIVED[label]
+            assert not missing, f"{label} attributes never snapshotted"
+
+    def test_snapshot_has_no_history(self):
+        state = crashed_arbiter(1550)._capture_state(1550)
+        for key in ("requests", "records", "latencies", "completions"):
+            assert key not in state
+            assert all(key not in raw for raw in state["stats"].values())
+        # Pending arrivals are one run per request stream: the initial
+        # fleet's and the joined tenant's.
+        assert len(state["arrivals"]) == 2
+
+    def test_restore_then_capture_round_trips(self, tmp_path):
+        journal = tmp_path / "soak.jsonl"
+        run_service(
+            fleet(),
+            soak_config(snapshot_every=250),
+            journal_path=journal,
+            control_events=control_schedule(),
+        )
+        data = journal.read_bytes()
+        snapshots = list_snapshots(journal)
+        assert snapshots
+        for path in snapshots:
+            state = json.loads(path.read_text())
+            prefix = data[: state["journal_offset"]]
+            arbiter = _Arbiter(
+                tenants=fleet(),
+                config=soak_config(snapshot_every=250),
+                cache=None,
+                tracer=NULL_TRACER,
+                metrics=None,
+                journal=_ServiceJournal(None),
+                control_events=control_schedule(),
+            )
+            arbiter._restore_state(state, prefix)
+            again = json.loads(
+                canonical_json(arbiter._capture_state(state["tick"]))
+            )
+            for doc in (state, again):
+                del doc["journal_offset"], doc["journal_sha"]
+                doc["heap"].sort()  # heapify may lay the heap out anew
+            assert again == state
+            # The refolded lists hold exactly the prefix's completions.
+            completed = sum(
+                len(stats.completions) for stats in arbiter.stats.values()
+            )
+            assert completed == prefix.count(b'"kind":"complete"') > 0
+
+
+# -- generated crash recovery ----------------------------------------------
+
+
+@functools.lru_cache(maxsize=16)  # one per schedule subset
+def uninterrupted(chosen):
+    """Report and journal bytes of the soak under a schedule subset."""
+    events = [control_schedule()[index] for index in chosen]
+    with tempfile.TemporaryDirectory() as root:
+        journal = Path(root) / "ref.jsonl"
+        report = run_service(
+            fleet(), soak_config(), journal_path=journal,
+            control_events=events,
+        )
+        return report.to_json_dict(), journal.read_bytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    crash_at=st.integers(min_value=0, max_value=2402),
+    snapshot_every=st.one_of(st.just(0), st.integers(50, 800)),
+    chosen=st.sets(st.integers(0, len(control_schedule()) - 1)),
+)
+def test_generated_crash_recovers_bit_identical(
+    crash_at, snapshot_every, chosen
+):
+    """Any crash tick, any snapshot cadence, any part of the schedule:
+    the recovered run equals the uninterrupted one (2402 is the earliest
+    tick any schedule subset drains at)."""
+    chosen = tuple(sorted(chosen))
+    events = [control_schedule()[index] for index in chosen]
+    config = soak_config(snapshot_every=snapshot_every)
+    with tempfile.TemporaryDirectory() as root:
+        journal = Path(root) / "crash.jsonl"
+        crash_run(journal, config, control_events=events, crash_at=crash_at)
+        report = recover_service(
+            fleet(), config, journal_path=journal, control_events=events
+        )
+        ref_report, ref_journal = uninterrupted(chosen)
+        assert journal.read_bytes() == ref_journal
+        assert report.to_json_dict() == ref_report
 
 
 # -- live reconfiguration --------------------------------------------------
@@ -622,20 +800,20 @@ class TestLiveReconfiguration:
         with pytest.raises(RecoveryError, match="fingerprint"):
             recover_service(fleet(), config, journal_path=journal)
 
-    def test_ac_remove_beyond_capacity_stops_at_empty_fabric(self):
-        # Schedule validation counts configured/added/removed ACs only;
-        # a fault can still leave fewer live containers than the
-        # schedule retires, and the retirement stops at an empty fabric.
-        report = run_service(
-            fleet(),
-            ServiceConfig(
-                num_acs=2, duration=600, seed=2008, fault_ticks=(50,)
-            ),
-            control_events=[
-                ControlEvent(tick=100, action="ac_remove", count=2)
-            ],
-        )
-        assert report.dropped_admitted == 0
+    def test_ac_remove_beyond_faulted_fabric_rejected(self):
+        # The fault at tick 50 leaves one of the two ACs live, so the
+        # schedule cannot retire two at tick 100: it is rejected before
+        # the run instead of silently retiring only one.
+        with pytest.raises(ServiceError, match="only 1 are live"):
+            run_service(
+                fleet(),
+                ServiceConfig(
+                    num_acs=2, duration=600, seed=2008, fault_ticks=(50,)
+                ),
+                control_events=[
+                    ControlEvent(tick=100, action="ac_remove", count=2)
+                ],
+            )
 
 
 class TestControlEventValidation:
@@ -781,6 +959,58 @@ class TestControlEventValidation:
                 duration=1000,
             )
 
+    def test_ac_remove_counts_scheduled_faults(self):
+        remove = [ControlEvent(tick=100, action="ac_remove", count=2)]
+        # A fault at the event's own tick lands first and counts ...
+        with pytest.raises(ServiceError, match="only 1 are live"):
+            validate_control_events(
+                ["a"], remove, num_acs=2, duration=1000, fault_ticks=(100,)
+            )
+        # ... a later one does not.
+        validate_control_events(
+            ["a"], remove, num_acs=2, duration=1000, fault_ticks=(101,)
+        )
+        # Faults beyond an empty fabric kill nothing: the AC added
+        # after the storm is still there to retire.
+        validate_control_events(
+            ["a"],
+            [
+                ControlEvent(tick=30, action="ac_add", count=1),
+                ControlEvent(tick=40, action="ac_remove", count=1),
+            ],
+            num_acs=1,
+            duration=1000,
+            fault_ticks=(10, 20),
+        )
+
+    def test_shipped_schedules_stay_valid(self):
+        # The recovery fixtures' schedule, and the one the CI
+        # crash-recovery job (6 tenants, faults at 900/920) and the
+        # serve-durable benchmark (8 tenants, faults at 1000/1020/1040)
+        # pass to ``repro serve --reconfig-at``.
+        validate_control_events(
+            [tenant.name for tenant in fleet()],
+            control_schedule(),
+            SOAK["num_acs"],
+            SOAK["duration"],
+            SOAK["fault_ticks"],
+        )
+        reconfig = []
+        for text in ("400:tenant_join:latecomer", "1200:tenant_leave:tenant00",
+                     "1600:ac_add:2", "2400:ac_remove:1"):
+            event = parse_reconfig_spec(text)
+            if event.action == "tenant_join":
+                event = dataclasses.replace(
+                    event, spec=derive_join_tenant(event.name, 2008)
+                )
+            reconfig.append(event)
+        for tenants, duration, faults in (
+            (6, 20_000, (900, 920)),
+            (8, 200_000, (1000, 1020, 1040)),
+        ):
+            names = [f"tenant{index:02d}" for index in range(tenants)]
+            validate_control_events(names, reconfig, 6, duration, faults)
+
     def test_event_after_arrivals_end_rejected(self):
         spec = derive_join_tenant("late", 2008)
         with pytest.raises(ServiceError, match="outside the run"):
@@ -804,9 +1034,16 @@ class TestControlEventValidation:
                 "--reconfig-at", reconfig,
             ])
             assert code == 1, reconfig
+        code = cli_main([
+            "serve", "--tenants", "2", "--duration", "2000",
+            "--service-acs", "2", "--no-cache", "--kills", "1",
+            "--kill-at", "50", "--reconfig-at", "100:ac_remove:2",
+        ])
+        assert code == 1
         err = capsys.readouterr().err
         assert "only 8 are live" in err
         assert "outside the run" in err
+        assert "only 1 are live" in err
 
     def test_run_service_rejects_bad_schedule(self):
         with pytest.raises(ServiceError, match="not an active tenant"):
